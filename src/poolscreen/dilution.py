@@ -24,6 +24,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 __all__ = [
     "DilutionScenario",
     "MonitorConfig",
@@ -62,7 +64,7 @@ class DilutionScenario:
             )
         if self.concentration < 0:
             raise ValueError(f"concentration must be nonnegative, got {self.concentration}")
-        if not isinstance(self.pool_size, int) or self.pool_size < 1:
+        if not isinstance(self.pool_size, (int, np.integer)) or self.pool_size < 1:
             raise ValueError(f"pool size must be a positive integer, got {self.pool_size!r}")
         if not 0.0 <= self.prevalence <= 1.0:
             raise ValueError(f"prevalence must lie in [0, 1], got {self.prevalence}")
@@ -103,7 +105,7 @@ def individual_false_negative_rate(scenario: DilutionScenario) -> float:
 
 def expected_positives_per_pool(n_pool: int, p: float) -> float:
     """Mean positives in a pool of n, conditional on at least one: np/(1-(1-p)^n)."""
-    if not isinstance(n_pool, int) or n_pool < 1:
+    if not isinstance(n_pool, (int, np.integer)) or n_pool < 1:
         raise ValueError(f"pool size must be a positive integer, got {n_pool!r}")
     if not 0.0 < p <= 1.0:
         raise ValueError(f"prevalence must lie in (0, 1] for the conditional mean, got {p}")

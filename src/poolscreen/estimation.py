@@ -301,6 +301,8 @@ def gg_asymptotic_variance(p: float, b: int, t: int) -> float:
 
 def gg_nrmse(p: float, b: int, t: int, method: str = "exact") -> float:
     """Root-MSE of the estimator divided by the true prevalence."""
+    if _check_prob(p) == 0.0:
+        raise ValueError("the relative error needs a positive prevalence, got 0")
     if method == "exact":
         return math.sqrt(gg_mse(p, b, t)) / p
     if method == "asymptotic":

@@ -1,10 +1,17 @@
 """Seeded Monte Carlo execution of every pooling architecture.
 
-Each run draws synthetic populations of i.i.d. Bernoulli statuses, executes a
-pooling procedure literally (pool tests, retests, sequential walks), and
-aggregates test counts, classification accuracy and estimator error.  These
-empirical numbers are the ground truth the closed-form module is validated
-against.
+Each run draws synthetic populations of i.i.d. Bernoulli statuses, counts the
+tests a pooling procedure uses on them (pool tests, retests, sequential
+walks), and aggregates test counts, classification accuracy and estimator
+error.  These empirical numbers are the ground truth the closed-form module
+is validated against.
+
+Each noise-free design has exactly one implementation: a kernel that counts
+the tests of a whole block of replications at once.  The public run_*
+functions apply the same kernels to one population.  The literal
+one-pool-at-a-time procedures live in the test suite
+(tests/literal_procedures.py), which checks the kernels against them test
+for test.  Noisy runs walk each replication literally.
 
 Reproducibility contract: replication r of a run with root seed s draws its
 randomness from a fixed block of a counter-based bit stream (Philox keyed by
@@ -21,7 +28,8 @@ test counts and accuracy tallies.
 
 The optional dilution noise model makes a test on a pool with at least one
 positive come back negative with the probability given by the dilution
-module for that pool size (individual retests use the pool-size-1 rate).
+module for that pool size (individual retests use the pool-size-1 rate; in
+individual testing, b = 1, that pool of one is the person's only test).
 False positives are not modeled.
 """
 
@@ -36,7 +44,7 @@ import numpy as np
 
 from . import dilution as _dilution
 from . import estimation as _estimation
-from .designs import ArrayDesign, DorfmanDesign, HypercubeDesign, SterrettDesign
+from .designs import ArrayDesign, DorfmanDesign, HypercubeDesign, SterrettDesign, _check_batch
 from .estimation import GibbsGowerPlan, PoolTestOutcome
 
 __all__ = [
@@ -122,52 +130,124 @@ def simulate_population(size: int, p: float, seed: int) -> PopulationSample:
     return PopulationSample(statuses, float(p), int(seed))
 
 
-def _statuses_of(pop) -> np.ndarray:
-    if isinstance(pop, PopulationSample):
-        return np.asarray(pop.statuses, dtype=bool)
-    return np.asarray(pop, dtype=bool)
+# ---------------------------------------------------------------------------
+# noise-free kernels: test counts for a whole block statuses[reps, n] at once
+# ---------------------------------------------------------------------------
+
+def _units(statuses: np.ndarray, size: int) -> np.ndarray:
+    """statuses[reps, n] as consecutive units, shape (reps, units, size); the
+    tail unit is padded with known negatives."""
+    reps, n = statuses.shape
+    units = -(-n // size)
+    if units * size == n:
+        return statuses.reshape(reps, units, size)
+    padded = np.zeros((reps, units * size), dtype=bool)
+    padded[:, :n] = statuses
+    return padded.reshape(reps, units, size)
 
 
-def _classify_exact(statuses: np.ndarray, tests: int) -> RunOutcome:
+def _unit_sizes(n: int, size: int) -> np.ndarray:
+    """Real members of each consecutive unit of `size` covering n people."""
+    units = -(-n // size)
+    sizes = np.full(units, size)
+    sizes[-1] = n - (units - 1) * size
+    return sizes
+
+
+def _kernel_dorfman(statuses: np.ndarray, b: int) -> np.ndarray:
+    """One test per pool plus a retest of every real member of a positive
+    pool; b == 1 is individual testing, one test per person."""
+    reps, n = statuses.shape
+    if b == 1:
+        return np.full(reps, n)
+    members = _unit_sizes(n, b)
+    return len(members) + _units(statuses, b).any(axis=2) @ members
+
+
+def _kernel_sterrett(statuses: np.ndarray, b: int) -> np.ndarray:
+    """Closed form of the Sterrett walk, batch by batch.
+
+    A batch of m people with k positives, the last at index l, takes 1 test
+    if k == 0; k + m - 1 if l == m - 1 (k positive pools and every member but
+    the inferred last); otherwise k + l + 2 (k positive pools, l + 1
+    individual tests and the clean remainder pool).
+    """
+    batches = _units(statuses, b)
+    m = _unit_sizes(statuses.shape[1], b)
+    k = batches.sum(axis=2)
+    last = b - 1 - batches[:, :, ::-1].argmax(axis=2)
+    tests = np.where(k == 0, 1, np.where(last == m - 1, k + m - 1, k + last + 2))
+    return tests.sum(axis=1)
+
+
+def _kernel_grid(statuses: np.ndarray, b: int, d: int):
+    """(line tests, candidate mask[reps, n]) for array (d = 2) and hypercube runs.
+
+    Every axis-parallel line of each side-b cluster is pooled once; a cell is
+    a candidate when every line through it pooled positive.
+    """
+    reps, n = statuses.shape
+    clusters = _units(statuses, b**d)
+    cubes = clusters.reshape((-1,) + (b,) * d)
+    cand = np.ones(cubes.shape, dtype=bool)
+    for axis in range(1, d + 1):
+        cand &= np.expand_dims(cubes.any(axis=axis), axis=axis)
+    return clusters.shape[1] * d * b ** (d - 1), cand.reshape(reps, -1)[:, :n]
+
+
+def _grid_block(statuses: np.ndarray, b: int, d: int, confirm: bool):
+    line_tests, cand = _kernel_grid(statuses, b, d)
+    if confirm:
+        return line_tests + cand.sum(axis=1), None
+    return np.full(len(statuses), line_tests), cand
+
+
+def _noise_free_block(design, statuses: np.ndarray):
+    """(tests, presumed-positive mask or None) per replication of statuses[reps, n].
+
+    The mask is None when every candidate is confirmed individually, so the
+    classification is exact.
+    """
+    if isinstance(design, DorfmanDesign):
+        return _kernel_dorfman(statuses, design.batch_size), None
+    if isinstance(design, SterrettDesign):
+        return _kernel_sterrett(statuses, design.batch_size), None
+    if isinstance(design, ArrayDesign):
+        return _grid_block(statuses, design.side, 2, design.confirm_stage)
+    if isinstance(design, HypercubeDesign):
+        return _grid_block(statuses, design.side, design.dimension, True)
+    raise ValueError(f"unsupported design {design!r}")
+
+
+# ---------------------------------------------------------------------------
+# single-population runners: the kernels applied to statuses[None]
+# ---------------------------------------------------------------------------
+
+def _run_once(pop, block) -> RunOutcome:
+    """Apply block: statuses[reps, n] -> (tests, presumed mask or None) to one population."""
+    statuses = np.asarray(pop.statuses if isinstance(pop, PopulationSample) else pop, dtype=bool)
+    if statuses.ndim != 1 or len(statuses) < 1:
+        raise ValueError("a population must be a nonempty 1-d array of statuses")
+    tests, presumed = block(statuses[None])
+    positive = statuses if presumed is None else presumed[0]
     idx = np.arange(len(statuses))
     return RunOutcome(
-        tests_used=int(tests),
-        classified_positive=idx[statuses],
-        classified_negative=idx[~statuses],
-        false_negatives=0,
-        false_positives=0,
+        tests_used=int(tests[0]),
+        classified_positive=idx[positive],
+        classified_negative=idx[~positive],
+        false_negatives=int((statuses & ~positive).sum()),
+        false_positives=int((positive & ~statuses).sum()),
     )
 
-
-# ---------------------------------------------------------------------------
-# single-population reference runners
-# ---------------------------------------------------------------------------
 
 def run_dorfman(pop, b: int) -> RunOutcome:
     """Dorfman testing: one test per pool, b retests per positive pool.
 
-    The padded tail pool only retests its real members.  Classification is
-    exact in the noise-free model.
+    The padded tail pool only retests its real members; b == 1 is individual
+    testing.  Classification is exact in the noise-free model.
     """
-    statuses = _statuses_of(pop)
-    if b < 1:
-        raise ValueError("batch size must be >= 1")
-    n = len(statuses)
-    if b == 1:
-        return _classify_exact(statuses, n)
-    n_pools = -(-n // b)
-    tests = n_pools
-    for i in range(n_pools):
-        members = statuses[i * b : min((i + 1) * b, n)]
-        if members.any():
-            tests += len(members)
-    return _classify_exact(statuses, tests)
-
-
-def _array_candidates(grid: np.ndarray) -> np.ndarray:
-    rows = grid.any(axis=1)
-    cols = grid.any(axis=0)
-    return rows[:, None] & cols[None, :]
+    design = DorfmanDesign(b)
+    return _run_once(pop, lambda statuses: _noise_free_block(design, statuses))
 
 
 def run_array(pop, b: int, confirm: bool = True) -> RunOutcome:
@@ -177,97 +257,26 @@ def run_array(pop, b: int, confirm: bool = True) -> RunOutcome:
     confirm=False presumes those cells positive, which can only create false
     positives.
     """
-    statuses = _statuses_of(pop)
-    if b < 2:
-        raise ValueError("array side must be >= 2")
-    return _run_grid(statuses, b, 2, confirm)
+    design = ArrayDesign(b, confirm_stage=confirm)
+    return _run_once(pop, lambda statuses: _noise_free_block(design, statuses))
 
 
 def run_hypercube(pop, b: int, d: int, confirm: bool = True) -> RunOutcome:
-    """Hypercube testing: pools are the axis-parallel lines of side-b cubes."""
-    statuses = _statuses_of(pop)
-    if b < 2 or d < 2:
-        raise ValueError("hypercube needs side >= 2 and dimension >= 2")
-    return _run_grid(statuses, b, d, confirm)
+    """Hypercube testing: pools are the axis-parallel lines of side-b cubes.
 
-
-def _grid_candidates(cube: np.ndarray) -> np.ndarray:
-    """Cells whose every axis-parallel line pooled positive."""
-    d = cube.ndim
-    cand = np.ones(cube.shape, dtype=bool)
-    for axis in range(d):
-        line_pos = cube.any(axis=axis)  # positivity of each line along `axis`
-        cand &= np.expand_dims(line_pos, axis=axis)
-    return cand
-
-
-def _run_grid(statuses: np.ndarray, b: int, d: int, confirm: bool) -> RunOutcome:
-    n = len(statuses)
-    cluster = b**d
-    n_clusters = -(-n // cluster)
-    padded = np.zeros(n_clusters * cluster, dtype=bool)
-    padded[:n] = statuses
-    real = np.zeros_like(padded)
-    real[:n] = True
-
-    tests = n_clusters * d * b ** (d - 1)
-    presumed = np.zeros(n, dtype=bool)
-    for c in range(n_clusters):
-        cube = padded[c * cluster : (c + 1) * cluster].reshape((b,) * d)
-        cand = _grid_candidates(cube)
-        real_cand = cand.reshape(-1) & real[c * cluster : (c + 1) * cluster]
-        if confirm:
-            tests += int(real_cand.sum())
-        else:
-            presumed[c * cluster : c * cluster + min(cluster, n - c * cluster)] |= real_cand[
-                : min(cluster, n - c * cluster)
-            ]
-    if confirm:
-        return _classify_exact(statuses, tests)
-
-    idx = np.arange(n)
-    false_pos = int((presumed & ~statuses).sum())
-    return RunOutcome(
-        tests_used=int(tests),
-        classified_positive=idx[presumed],
-        classified_negative=idx[~presumed],
-        false_negatives=0,  # every true positive makes all its lines positive
-        false_positives=false_pos,
+    confirm=False presumes the candidate cells positive, as in run_array.
+    """
+    design = HypercubeDesign(b, d)
+    return _run_once(
+        pop, lambda statuses: _grid_block(statuses, design.side, design.dimension, confirm)
     )
-
-
-def _sterrett_segment_tests(positions: np.ndarray, m: int) -> int:
-    """Tests used by the Sterrett walk on one batch of m with given positive positions."""
-    tests = 0
-    start = 0
-    i = 0  # index into positions
-    while start < m:
-        tests += 1  # pool the segment [start, m)
-        if i >= len(positions):
-            break  # pooled remainder is clean
-        j = positions[i] - start  # first positive, relative to the segment
-        seg_len = m - start
-        if j == seg_len - 1:
-            tests += seg_len - 1  # walked everyone else; last one inferred
-            break
-        tests += j + 1  # tested up to and including the first positive
-        start = positions[i] + 1
-        i += 1
-    return tests
 
 
 def run_sterrett(pop, b: int) -> RunOutcome:
     """Sterrett testing: walk positive pools individual-by-individual,
     re-pooling the untested remainder after each positive found."""
-    statuses = _statuses_of(pop)
-    if b < 2:
-        raise ValueError("batch size must be >= 2")
-    n = len(statuses)
-    tests = 0
-    for s in range(0, n, b):
-        batch = statuses[s : s + b]
-        tests += _sterrett_segment_tests(np.flatnonzero(batch), len(batch))
-    return _classify_exact(statuses, tests)
+    design = SterrettDesign(b)
+    return _run_once(pop, lambda statuses: _noise_free_block(design, statuses))
 
 
 def run_gibbs_gower(p: float, plan: GibbsGowerPlan, seed: int) -> float:
@@ -280,59 +289,6 @@ def run_gibbs_gower(p: float, plan: GibbsGowerPlan, seed: int) -> float:
     return _estimation.gg_estimate(
         PoolTestOutcome(plan.num_pools, positive, plan.pool_size)
     )
-
-
-# ---------------------------------------------------------------------------
-# vectorized per-block kernels (noise-free); each matches its reference
-# runner test-for-test on identical statuses
-# ---------------------------------------------------------------------------
-
-def _kernel_dorfman(statuses: np.ndarray, n: int, b: int) -> np.ndarray:
-    reps = statuses.shape[0]
-    n_pools = -(-n // b)
-    padded = np.zeros((reps, n_pools * b), dtype=bool)
-    padded[:, :n] = statuses
-    pools = padded.reshape(reps, n_pools, b)
-    pos = pools.any(axis=2)
-    members = np.full(n_pools, b)
-    members[-1] = n - (n_pools - 1) * b
-    return n_pools + pos @ members
-
-
-def _kernel_sterrett(statuses: np.ndarray, n: int, b: int) -> np.ndarray:
-    reps = statuses.shape[0]
-    out = np.empty(reps, dtype=np.int64)
-    for r in range(reps):
-        row = statuses[r]
-        tests = 0
-        for s in range(0, n, b):
-            batch = row[s : s + b]
-            tests += _sterrett_segment_tests(np.flatnonzero(batch), len(batch))
-        out[r] = tests
-    return out
-
-
-def _kernel_grid(statuses: np.ndarray, n: int, b: int, d: int, confirm: bool):
-    """(tests, false_positives) per replication for array/hypercube runs."""
-    reps = statuses.shape[0]
-    cluster = b**d
-    n_clusters = -(-n // cluster)
-    padded = np.zeros((reps, n_clusters * cluster), dtype=bool)
-    padded[:, :n] = statuses
-    real = np.zeros(n_clusters * cluster, dtype=bool)
-    real[:n] = True
-
-    cubes = padded.reshape((reps * n_clusters,) + (b,) * d)
-    cand = np.ones(cubes.shape, dtype=bool)
-    for axis in range(1, d + 1):
-        cand &= np.expand_dims(cubes.any(axis=axis), axis=axis)
-    cand = cand.reshape(reps, n_clusters * cluster) & real
-
-    tests = np.full(reps, n_clusters * d * b ** (d - 1), dtype=np.int64)
-    if confirm:
-        return tests + cand.sum(axis=1), np.zeros(reps, dtype=np.int64)
-    false_pos = (cand & ~padded).sum(axis=1)
-    return tests, false_pos
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +319,9 @@ def _noisy_dorfman_rep(row, b, miss, rng):
         pos_pools += 1
         if rng.random() < miss[hi - lo]:
             missed_pools += 1
+            continue
+        if b == 1:  # individual testing: the pool of one is the person's only test
+            detected[lo] = True
             continue
         tests += hi - lo
         for j in range(lo, hi):
@@ -424,16 +383,18 @@ def monte_carlo(
     own sample count.  Identical arguments give bit-identical summaries for
     any worker count.
     """
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
+    reps = _check_batch(reps, 1, "reps")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"prevalence must lie in [0, 1], got {p}")
+    if noise is not None and not isinstance(design, (DorfmanDesign, SterrettDesign)):
+        raise ValueError("dilution noise is modeled for Dorfman and Sterrett runs only")
 
     if isinstance(design, GibbsGowerPlan):
         return _monte_carlo_estimation(design, p, reps, seed, workers)
-    if population_size is None or population_size < 1:
+    if population_size is None:
         raise ValueError("classification runs need a positive population_size")
-    return _monte_carlo_classification(design, p, int(population_size), reps, seed, noise, workers)
+    n = _check_batch(population_size, 1, "population_size")
+    return _monte_carlo_classification(design, p, n, reps, seed, noise, workers)
 
 
 def _block_ranges(reps: int):
@@ -484,8 +445,8 @@ def _monte_carlo_classification(design, p, n, reps, seed, noise, workers):
     pool_missed = np.zeros(reps, dtype=np.int64)
 
     if noise is not None:
-        max_pool = _design_pool_size(design)
-        miss = _miss_probs(noise, max_pool)
+        miss = _miss_probs(noise, design.batch_size)
+        noisy_rep = _noisy_dorfman_rep if isinstance(design, DorfmanDesign) else _noisy_sterrett_rep
 
     def do_block(item):
         block, (lo, hi) = item
@@ -493,33 +454,14 @@ def _monte_carlo_classification(design, p, n, reps, seed, noise, workers):
         statuses = rng.random((hi - lo, n)) < p
         n_pos[lo:hi] = statuses.sum(axis=1)
         if noise is None:
-            if isinstance(design, DorfmanDesign):
-                tests[lo:hi] = (
-                    np.full(hi - lo, n)
-                    if design.batch_size == 1
-                    else _kernel_dorfman(statuses, n, design.batch_size)
-                )
-            elif isinstance(design, SterrettDesign):
-                tests[lo:hi] = _kernel_sterrett(statuses, n, design.batch_size)
-            elif isinstance(design, ArrayDesign):
-                t, f = _kernel_grid(statuses, n, design.side, 2, design.confirm_stage)
-                tests[lo:hi], fp[lo:hi] = t, f
-            elif isinstance(design, HypercubeDesign):
-                t, f = _kernel_grid(statuses, n, design.side, design.dimension, True)
-                tests[lo:hi], fp[lo:hi] = t, f
-            else:
-                raise ValueError(f"unsupported design {design!r}")
+            tests[lo:hi], presumed = _noise_free_block(design, statuses)
+            if presumed is not None:
+                # every positive is a candidate, so presuming adds no false negatives
+                fp[lo:hi] = (presumed & ~statuses).sum(axis=1)
         else:
             for r in range(lo, hi):
                 row = statuses[r - lo]
-                if isinstance(design, DorfmanDesign):
-                    t, detected, pp, pm = _noisy_dorfman_rep(row, design.batch_size, miss, rng)
-                elif isinstance(design, SterrettDesign):
-                    t, detected, pp, pm = _noisy_sterrett_rep(row, design.batch_size, miss, rng)
-                else:
-                    raise ValueError(
-                        "dilution noise is modeled for Dorfman and Sterrett runs"
-                    )
+                t, detected, pp, pm = noisy_rep(row, design.batch_size, miss, rng)
                 tests[r] = t
                 fn[r] = int((row & ~detected).sum())
                 fp[r] = int((detected & ~row).sum())
@@ -545,18 +487,6 @@ def _monte_carlo_classification(design, p, n, reps, seed, noise, workers):
         specificity=float(specificity),
         pool_miss_rate=miss_rate,
     )
-
-
-def _design_pool_size(design) -> int:
-    if isinstance(design, DorfmanDesign):
-        return design.batch_size
-    if isinstance(design, SterrettDesign):
-        return design.batch_size
-    if isinstance(design, ArrayDesign):
-        return design.side
-    if isinstance(design, HypercubeDesign):
-        return design.side
-    raise ValueError(f"unsupported design {design!r}")
 
 
 # ---------------------------------------------------------------------------

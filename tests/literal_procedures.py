@@ -1,0 +1,90 @@
+"""Literal pooling procedures: the oracle for the simulation kernels.
+
+Each function runs one population through a design the way a lab would,
+one pool at a time, and returns (tests used, cells classified positive).
+Pools are consecutive blocks; a ragged tail block holds only its real
+members, and a ragged tail cluster is padded with known negatives that are
+never retested.  poolscreen.simulation counts the same tests with vectorized
+kernels, and the tests check those kernels against these loops.
+"""
+
+import numpy as np
+
+from poolscreen.designs import (
+    ArrayDesign,
+    DorfmanDesign,
+    HypercubeDesign,
+    SterrettDesign,
+    sterrett_tests_for_pattern,
+)
+
+
+def dorfman(statuses, b):
+    """Test each pool of b once and retest every member of a positive pool;
+    b == 1 tests each person once."""
+    statuses = np.asarray(statuses, dtype=bool)
+    if b == 1:
+        return len(statuses), statuses.copy()
+    tests = 0
+    for lo in range(0, len(statuses), b):
+        members = statuses[lo : lo + b]
+        tests += 1
+        if members.any():
+            tests += len(members)
+    return tests, statuses.copy()
+
+
+def sterrett(statuses, b):
+    """The Sterrett walk on each consecutive batch of b."""
+    statuses = np.asarray(statuses, dtype=bool)
+    tests = sum(
+        sterrett_tests_for_pattern(statuses[lo : lo + b]) for lo in range(0, len(statuses), b)
+    )
+    return tests, statuses.copy()
+
+
+def grid(statuses, b, d, confirm=True):
+    """Pool every axis-parallel line of each side-b, d-dimensional cluster.
+
+    A real cell whose every line pooled positive is retested when confirm is
+    true, and presumed positive otherwise.
+    """
+    statuses = np.asarray(statuses, dtype=bool)
+    n = len(statuses)
+    cluster = b**d
+    tests = 0
+    positive = statuses.copy() if confirm else np.zeros(n, dtype=bool)
+    for lo in range(0, n, cluster):
+        cube = np.zeros(cluster, dtype=bool)
+        real = statuses[lo : lo + cluster]
+        cube[: len(real)] = real
+        cube = cube.reshape((b,) * d)
+
+        line_positive = {}
+        for axis in range(d):
+            for rest in np.ndindex(*(b,) * (d - 1)):
+                line = rest[:axis] + (slice(None),) + rest[axis:]
+                tests += 1
+                line_positive[axis, rest] = bool(cube[line].any())
+
+        for offset in range(len(real)):
+            cell = np.unravel_index(offset, cube.shape)
+            if all(line_positive[axis, cell[:axis] + cell[axis + 1 :]] for axis in range(d)):
+                if confirm:
+                    tests += 1
+                else:
+                    positive[lo + offset] = True
+    return tests, positive
+
+
+def run(design, statuses):
+    """(tests, classified-positive mask) of one population under a design."""
+    if isinstance(design, DorfmanDesign):
+        return dorfman(statuses, design.batch_size)
+    if isinstance(design, SterrettDesign):
+        return sterrett(statuses, design.batch_size)
+    if isinstance(design, ArrayDesign):
+        return grid(statuses, design.side, 2, design.confirm_stage)
+    if isinstance(design, HypercubeDesign):
+        return grid(statuses, design.side, design.dimension)
+    raise ValueError(f"unsupported design {design!r}")

@@ -144,6 +144,15 @@ class TestSimulate:
         )
         assert code == 2
 
+    def test_gibbs_gower_rejects_noise(self, capsys):
+        code, out, err = run_cli(
+            capsys, "simulate", "--design", "gibbs-gower", "--pool-size", "8",
+            "--pools", "120", "--prevalence", "0.05", "--concentration", "5",
+        )
+        assert code == 2
+        assert out == ""
+        assert "noise" in err
+
     def test_gibbs_gower_summary(self, capsys):
         code, out, _ = run_cli(
             capsys, "simulate", "--design", "gibbs-gower", "--pool-size", "8",

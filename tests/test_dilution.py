@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from poolscreen.dilution import (
@@ -67,6 +68,15 @@ class TestExpectedPositives:
     def test_rejects_zero_prevalence(self):
         with pytest.raises(ValueError):
             expected_positives_per_pool(10, 0.0)
+
+    def test_numpy_integer_pool_size(self):
+        assert expected_positives_per_pool(np.int64(4), 0.1) == expected_positives_per_pool(4, 0.1)
+        numpy_sized = scenario(pool_size=np.int64(4))
+        assert pooled_false_negative_rate(numpy_sized) == pooled_false_negative_rate(
+            scenario(pool_size=4)
+        )
+        with pytest.raises(ValueError):
+            scenario(pool_size=4.0)
 
 
 class TestPooledRate:

@@ -159,6 +159,12 @@ class TestAsymptoticVariance:
         with pytest.raises(ValueError):
             gg_asymptotic_variance(1.0, 5, 10)
 
+    @pytest.mark.parametrize("method", ["exact", "asymptotic"])
+    def test_nrmse_rejects_zero_prevalence(self, method):
+        # the error is relative to p, so p = 0 has none to report
+        with pytest.raises(ValueError):
+            gg_nrmse(0.0, 5, 10, method=method)
+
 
 # ---------------------------------------------------------------------------
 # planning

@@ -4,6 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import literal_procedures as literal
 
 from poolscreen.designs import (
     ArrayDesign,
@@ -133,40 +137,101 @@ class TestRunners:
 
 
 # ---------------------------------------------------------------------------
-# kernels agree with the reference runners
+# kernels agree with the literal procedures
 # ---------------------------------------------------------------------------
+
+def assert_block_matches(block, statuses, oracle):
+    """A kernel's (tests, presumed mask or None) equals the literal procedure
+    `oracle(row) -> (tests, positive mask)` row by row."""
+    tests, presumed = block
+    for r, row in enumerate(statuses):
+        literal_tests, literal_positive = oracle(row)
+        assert tests[r] == literal_tests
+        positive = row if presumed is None else presumed[r]
+        assert np.array_equal(positive, literal_positive)
+
+
+def assert_matches_literal(design, statuses):
+    block = simulation._noise_free_block(design, statuses)
+    assert_block_matches(block, statuses, lambda row: literal.run(design, row))
+
 
 class TestKernelEquivalence:
     def test_dorfman_kernel(self):
         rng = np.random.default_rng(0)
         statuses = rng.random((200, 47)) < 0.08
-        kernel = simulation._kernel_dorfman(statuses, 47, 5)
-        reference = [run_dorfman(row, 5).tests_used for row in statuses]
-        assert np.array_equal(kernel, reference)
+        for b in (1, 5, 47, 60):
+            assert_matches_literal(DorfmanDesign(b), statuses)
 
     def test_sterrett_kernel(self):
         rng = np.random.default_rng(1)
         statuses = rng.random((200, 45)) < 0.1
-        kernel = simulation._kernel_sterrett(statuses, 45, 9)
-        reference = [run_sterrett(row, 9).tests_used for row in statuses]
-        assert np.array_equal(kernel, reference)
+        assert_matches_literal(SterrettDesign(9), statuses)
+        # a ragged tail batch of 5, and a batch longer than the population
+        statuses = rng.random((200, 95)) < 0.2
+        assert_matches_literal(SterrettDesign(9), statuses)
+        assert_matches_literal(SterrettDesign(120), statuses)
 
     def test_grid_kernels(self):
         rng = np.random.default_rng(2)
         statuses = rng.random((60, 128)) < 0.05
-        kernel, _ = simulation._kernel_grid(statuses, 128, 8, 2, True)
-        reference = [run_array(row, 8).tests_used for row in statuses]
-        assert np.array_equal(kernel, reference)
-
-        kernel, fp = simulation._kernel_grid(statuses, 128, 8, 2, False)
-        ref_runs = [run_array(row, 8, confirm=False) for row in statuses]
-        assert np.array_equal(kernel, [r.tests_used for r in ref_runs])
-        assert np.array_equal(fp, [r.false_positives for r in ref_runs])
+        assert_matches_literal(ArrayDesign(8), statuses)
+        assert_matches_literal(ArrayDesign(8, confirm_stage=False), statuses)
+        assert_matches_literal(ArrayDesign(5, confirm_stage=False), statuses)  # ragged cluster
 
         statuses = rng.random((30, 512)) < 0.02
-        kernel, _ = simulation._kernel_grid(statuses, 512, 8, 3, True)
-        reference = [run_hypercube(row, 8, 3).tests_used for row in statuses]
-        assert np.array_equal(kernel, reference)
+        assert_matches_literal(HypercubeDesign(8, 3), statuses)
+        assert_matches_literal(HypercubeDesign(3, 4), statuses)
+
+    def test_presumptive_false_positives_match_literal(self):
+        # the harness's specificity counts the literal procedure's false positives
+        p, n, reps, seed = 0.08, 50, 300, 3
+        statuses = simulation._block_rng(seed, 0).random((reps, n)) < p
+        presumed = [literal.grid(row, 4, 2, confirm=False)[1] for row in statuses]
+        false_pos = sum(int((mask & ~row).sum()) for mask, row in zip(presumed, statuses))
+        negatives = reps * n - int(statuses.sum())
+        out = monte_carlo(ArrayDesign(4, confirm_stage=False), p, n, reps, seed=seed)
+        assert false_pos > 0
+        assert out.specificity == 1.0 - false_pos / negatives
+
+
+def status_blocks(max_n=300):
+    """Blocks of random rows plus one all-negative and one all-positive row."""
+
+    @st.composite
+    def build(draw):
+        n = draw(st.integers(1, max_n))
+        reps = draw(st.integers(0, 4))
+        density = draw(st.one_of(st.sampled_from([0.01, 0.05, 0.2]), st.floats(0.0, 1.0)))
+        seed = draw(st.integers(0, 2**32 - 1))
+        random_rows = np.random.default_rng(seed).random((reps, n)) < density
+        return np.vstack([random_rows, np.zeros((1, n), bool), np.ones((1, n), bool)])
+
+    return build()
+
+
+class TestKernelProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(b=st.integers(2, 40), statuses=status_blocks())
+    @example(b=7, statuses=np.array([[0, 0, 1], [1, 1, 1]], dtype=bool))  # n < b
+    @example(b=9, statuses=np.eye(95, dtype=bool)[[4, 89, 90, 94]])  # ragged tail of 5
+    def test_pooled_kernels_match_literal(self, b, statuses):
+        assert_matches_literal(DorfmanDesign(b), statuses)
+        assert_matches_literal(SterrettDesign(b), statuses)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        shape=st.one_of(
+            st.tuples(st.integers(2, 40), st.just(2)), st.tuples(st.integers(2, 16), st.just(3))
+        ),
+        confirm=st.booleans(),
+        statuses=status_blocks(),
+    )
+    @example(shape=(4, 2), confirm=False, statuses=np.eye(16, dtype=bool)[[0]] | np.eye(16, dtype=bool)[[5]])
+    def test_grid_kernel_matches_literal(self, shape, confirm, statuses):
+        side, dim = shape
+        block = simulation._grid_block(statuses, side, dim, confirm)
+        assert_block_matches(block, statuses, lambda row: literal.grid(row, side, dim, confirm))
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +315,19 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             monte_carlo(DorfmanDesign(5), 0.05, 100, 0, seed=0)
 
+    @pytest.mark.parametrize(
+        "population_size, reps",
+        [(2.5, 10), (100, 2.5), (np.float64(100.0), 10), ("100", 10), (100, None), (0, 10)],
+        ids=["float-size", "float-reps", "numpy-float-size", "str-size", "no-reps", "zero-size"],
+    )
+    def test_integer_arguments(self, population_size, reps):
+        with pytest.raises(ValueError):
+            monte_carlo(DorfmanDesign(5), 0.05, population_size, reps, seed=0)
+
+    def test_numpy_integer_arguments(self):
+        expected = monte_carlo(SterrettDesign(5), 0.05, 100, 300, seed=0)
+        assert monte_carlo(SterrettDesign(5), 0.05, np.int64(100), np.int32(300), seed=0) == expected
+
 
 class TestDilutionNoise:
     def scenario(self, pool_size=10):
@@ -271,9 +349,29 @@ class TestDilutionNoise:
         assert out.sensitivity < 1.0
         assert out.specificity == 1.0
 
-    def test_noise_only_for_sequential_designs(self):
-        with pytest.raises(ValueError):
-            monte_carlo(ArrayDesign(8), 0.01, 64, 10, seed=0, noise=self.scenario())
+    def test_noise_only_for_sequential_designs(self, monkeypatch):
+        # rejected on entry, before any miss rate is computed or any status drawn
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the design was rejected")
+
+        monkeypatch.setattr(simulation, "_miss_probs", no_work)
+        monkeypatch.setattr(simulation, "_block_rng", no_work)
+        for design in (ArrayDesign(8), HypercubeDesign(4, 3), GibbsGowerPlan(8, 50)):
+            with pytest.raises(ValueError, match="noise"):
+                monte_carlo(design, 0.01, 64, 10, seed=0, noise=self.scenario())
+
+    def test_noisy_individual_testing(self):
+        # a pool of one is the person's only test: never retested, and missed
+        # at the individual rate
+        noise = DilutionScenario(1.0, 20.0, 1.0, 1, 0.5)
+        miss = pooled_false_negative_rate(noise)
+        for p in (1.0, 0.3):
+            out = monte_carlo(DorfmanDesign(1), p, 50, 400, seed=5, noise=noise)
+            assert out.mean_tests == 1.0
+            se = math.sqrt(miss * (1 - miss) / (400 * 50 * p))
+            assert out.pool_miss_rate == pytest.approx(miss, abs=3.5 * se)
+            assert out.sensitivity == pytest.approx(1.0 - out.pool_miss_rate)
+            assert out.specificity == 1.0
 
     def test_noisy_run_deterministic(self):
         noise = self.scenario()
