@@ -503,6 +503,14 @@ def _optimal_pool_target(p: float, target: float, b_max: int) -> GibbsGowerPlan:
     left = edge(-1)
     right = edge(+1)
     plateau = np.arange(left, right + 1)
+    # unimodality holds only up to rounding: a size inside the plateau can
+    # need a pool fewer than its neighbours, which no bisection probe sees
+    bound = target * (1.0 + _REL_GUARD)
+    while t_star > 1:
+        meets = np.sqrt(_mse_many(p, plateau, t_star - 1)) / p <= bound
+        if not meets.any():
+            break
+        plateau, t_star = plateau[meets], t_star - 1
     mses = _mse_many(p, plateau, t_star)
     best = int(plateau[int(np.argmin(mses))])
     return GibbsGowerPlan(best, tests(best))

@@ -11,7 +11,9 @@ the tests of a whole block of replications at once.  The public run_*
 functions apply the same kernels to one population.  The literal
 one-pool-at-a-time procedures live in the test suite
 (tests/literal_procedures.py), which checks the kernels against them test
-for test.  Noisy runs walk each replication literally.
+for test.  Noisy Dorfman and Sterrett runs have one block kernel too; its
+random draws follow a fixed layout (see _noisy_block) that the literal noisy
+walks of the test suite read as well.
 
 Reproducibility contract: replication r of a run with root seed s draws its
 randomness from a fixed block of a counter-based bit stream (Philox keyed by
@@ -121,13 +123,13 @@ class MonteCarloSummary:
 
 
 def simulate_population(size: int, p: float, seed: int) -> PopulationSample:
-    if not isinstance(size, (int, np.integer)) or size < 1:
-        raise ValueError(f"population size must be a positive integer, got {size!r}")
+    size = _check_batch(size, 1, "population size")
+    seed = _check_batch(seed, 0, "seed")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"prevalence must lie in [0, 1], got {p}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    statuses = rng.random(int(size)) < p
-    return PopulationSample(statuses, float(p), int(seed))
+    statuses = rng.random(size) < p
+    return PopulationSample(statuses, float(p), seed)
 
 
 # ---------------------------------------------------------------------------
@@ -136,12 +138,12 @@ def simulate_population(size: int, p: float, seed: int) -> PopulationSample:
 
 def _units(statuses: np.ndarray, size: int) -> np.ndarray:
     """statuses[reps, n] as consecutive units, shape (reps, units, size); the
-    tail unit is padded with known negatives."""
+    tail unit is padded with known negatives (zeros)."""
     reps, n = statuses.shape
     units = -(-n // size)
     if units * size == n:
         return statuses.reshape(reps, units, size)
-    padded = np.zeros((reps, units * size), dtype=bool)
+    padded = np.zeros((reps, units * size), dtype=statuses.dtype)
     padded[:, :n] = statuses
     return padded.reshape(reps, units, size)
 
@@ -180,26 +182,29 @@ def _kernel_sterrett(statuses: np.ndarray, b: int) -> np.ndarray:
     return tests.sum(axis=1)
 
 
-def _kernel_grid(statuses: np.ndarray, b: int, d: int):
-    """(line tests, candidate mask[reps, n]) for array (d = 2) and hypercube runs.
+def _grid_block(statuses: np.ndarray, b: int, d: int, confirm: bool):
+    """(tests, presumed mask or None) for array (d = 2) and hypercube runs.
 
     Every axis-parallel line of each side-b cluster is pooled once; a cell is
-    a candidate when every line through it pooled positive.
+    a candidate when every line through it pooled positive, and is retested
+    when confirm is true and presumed positive otherwise.  A line's
+    positivity is the OR of its b cells, taken slice by slice (any() over a
+    tiny strided axis is several times slower).
     """
     reps, n = statuses.shape
     clusters = _units(statuses, b**d)
     cubes = clusters.reshape((-1,) + (b,) * d)
     cand = np.ones(cubes.shape, dtype=bool)
     for axis in range(1, d + 1):
-        cand &= np.expand_dims(cubes.any(axis=axis), axis=axis)
-    return clusters.shape[1] * d * b ** (d - 1), cand.reshape(reps, -1)[:, :n]
-
-
-def _grid_block(statuses: np.ndarray, b: int, d: int, confirm: bool):
-    line_tests, cand = _kernel_grid(statuses, b, d)
+        lines = cubes.take([0], axis)
+        for i in range(1, b):
+            lines |= cubes.take([i], axis)
+        cand &= lines
+    line_tests = clusters.shape[1] * d * b ** (d - 1)
+    cand = cand.reshape(reps, -1)[:, :n]
     if confirm:
         return line_tests + cand.sum(axis=1), None
-    return np.full(len(statuses), line_tests), cand
+    return np.full(reps, line_tests), cand
 
 
 def _noise_free_block(design, statuses: np.ndarray):
@@ -281,6 +286,7 @@ def run_sterrett(pop, b: int) -> RunOutcome:
 
 def run_gibbs_gower(p: float, plan: GibbsGowerPlan, seed: int) -> float:
     """Draw plan.num_pools pools of plan.pool_size i.i.d. samples; estimate p."""
+    seed = _check_batch(seed, 0, "seed")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"prevalence must lie in [0, 1], got {p}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -292,76 +298,69 @@ def run_gibbs_gower(p: float, plan: GibbsGowerPlan, seed: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# noisy per-replication runner (dilution false negatives)
+# noisy kernels (dilution false negatives), a whole block at once
 # ---------------------------------------------------------------------------
 
-def _miss_probs(noise: _dilution.DilutionScenario, max_pool: int) -> np.ndarray:
-    """Miss probability for a positive pool of each size 1..max_pool."""
-    probs = np.empty(max_pool + 1)
-    probs[0] = 0.0
-    for k in range(1, max_pool + 1):
-        probs[k] = _dilution.pooled_false_negative_rate(noise.with_pool_size(k))
+def _miss_probs(noise: _dilution.DilutionScenario, max_pool: int, p: float) -> np.ndarray:
+    """Miss probability for a positive pool of each size 1..max_pool; all 0
+    at p == 0, where there is no positive pool to miss."""
+    probs = np.zeros(max_pool + 1)
+    if p > 0.0:
+        for k in range(1, max_pool + 1):
+            probs[k] = _dilution.pooled_false_negative_rate(noise.with_pool_size(k))
     return probs
 
 
-def _noisy_dorfman_rep(row, b, miss, rng):
-    """(tests, detected_mask, pos_pools, missed_pools) for one noisy Dorfman rep."""
-    n = len(row)
-    n_pools = -(-n // b)
-    tests = n_pools
-    detected = np.zeros(n, dtype=bool)
-    pos_pools = missed_pools = 0
-    for i in range(n_pools):
-        lo, hi = i * b, min((i + 1) * b, n)
-        members = row[lo:hi]
-        if not members.any():
-            continue
-        pos_pools += 1
-        if rng.random() < miss[hi - lo]:
-            missed_pools += 1
-            continue
+def _noisy_block(design, statuses: np.ndarray, miss: np.ndarray, rng):
+    """(tests, detected mask, positive pools, missed pools) per replication of
+    a noisy Dorfman or Sterrett run on statuses[reps, n].
+
+    Draws pool_u then ind_u, each of shape (reps, n).  A pool test on the
+    segment starting at person j reads pool_u[:, j] and misses a positive
+    segment of size k when it is below miss[k]; the individual test of person
+    j reads ind_u[:, j].
+    """
+    reps, n = statuses.shape
+    b = design.batch_size
+    pool_u = _units(rng.random((reps, n)), b)
+    ind_u = _units(rng.random((reps, n)), b)
+    batches = _units(statuses, b)
+    m = _unit_sizes(n, b)
+    ind_hit = batches & (ind_u >= miss[1])
+    if isinstance(design, DorfmanDesign):
+        positive = batches.any(axis=2)
+        flagged = positive & (pool_u[:, :, 0] >= miss[m])
         if b == 1:  # individual testing: the pool of one is the person's only test
-            detected[lo] = True
-            continue
-        tests += hi - lo
-        for j in range(lo, hi):
-            if row[j] and rng.random() >= miss[1]:
-                detected[j] = True
-    return tests, detected, pos_pools, missed_pools
+            tests, detected = np.full(reps, n), flagged[:, :, None]
+        else:
+            tests, detected = len(m) + flagged @ m, flagged[:, :, None] & ind_hit
+        pools, missed = positive.sum(axis=1), (positive & ~flagged).sum(axis=1)
+        return tests, detected.reshape(reps, -1)[:, :n], pools, missed
 
-
-def _noisy_sterrett_rep(row, b, miss, rng):
-    """Noisy Sterrett walk; pooled tests miss with the size-k dilution rate."""
-    n = len(row)
-    tests = 0
-    detected = np.zeros(n, dtype=bool)
-    pos_pools = missed_pools = 0
-    for s0 in range(0, n, b):
-        start, end = s0, min(s0 + b, n)
-        while start < end:
-            seg = row[start:end]
-            tests += 1
-            truly_pos = bool(seg.any())
-            if truly_pos:
-                pos_pools += 1
-            flagged = truly_pos and rng.random() >= miss[end - start]
-            if truly_pos and not flagged:
-                missed_pools += 1
-            if not flagged:
-                break
-            # walk the segment; the last individual is inferred, not tested
-            found = None
-            for j in range(end - start - 1):
-                tests += 1
-                if row[start + j] and rng.random() >= miss[1]:
-                    found = start + j
-                    break
-            if found is None:
-                detected[end - 1] = True  # inferred positive (may be wrong under noise)
-                break
-            detected[found] = True
-            start = found + 1
-    return tests, detected, pos_pools, missed_pools
+    # Sterrett: scan the positions of every batch at once.  A batch either
+    # needs a pool test on the segment starting here, is walking it member by
+    # member, or is done; a walk that reaches the last real member infers it
+    # positive without a test.
+    seg_positive = np.logical_or.accumulate(batches[:, :, ::-1], axis=2)[:, :, ::-1]
+    detected = np.zeros(batches.shape, dtype=bool)
+    tests, pools, missed = np.zeros((3, reps), dtype=np.int64)
+    need_pool = np.ones(batches.shape[:2], dtype=bool)
+    walking = np.zeros(batches.shape[:2], dtype=bool)
+    for j in range(b):
+        positive = need_pool & seg_positive[:, :, j]
+        flagged = positive & (pool_u[:, :, j] >= miss[np.maximum(m - j, 0)])
+        tests += need_pool.sum(axis=1)
+        pools += positive.sum(axis=1)
+        missed += (positive & ~flagged).sum(axis=1)
+        walking |= flagged
+        last = j == m - 1
+        detected[:, :, j] = walking & last
+        walking &= ~last
+        tests += walking.sum(axis=1)
+        need_pool = walking & ind_hit[:, :, j]
+        detected[:, :, j] |= need_pool
+        walking &= ~need_pool
+    return tests, detected.reshape(reps, -1)[:, :n], pools, missed
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +383,7 @@ def monte_carlo(
     any worker count.
     """
     reps = _check_batch(reps, 1, "reps")
+    seed = _check_batch(seed, 0, "seed")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"prevalence must lie in [0, 1], got {p}")
     if noise is not None and not isinstance(design, (DorfmanDesign, SterrettDesign)):
@@ -397,12 +397,9 @@ def monte_carlo(
     return _monte_carlo_classification(design, p, n, reps, seed, noise, workers)
 
 
-def _block_ranges(reps: int):
-    return [(lo, min(lo + BLOCK_REPS, reps)) for lo in range(0, reps, BLOCK_REPS)]
-
-
 def _run_blocks(fn, reps: int, workers: int):
-    blocks = list(enumerate(_block_ranges(reps)))
+    """Call fn((block, (lo, hi))) on every block of replications."""
+    blocks = list(enumerate((lo, min(lo + BLOCK_REPS, reps)) for lo in range(0, reps, BLOCK_REPS)))
     if workers <= 1:
         for item in blocks:
             fn(item)
@@ -437,16 +434,10 @@ def _monte_carlo_estimation(plan, p, reps, seed, workers):
 
 
 def _monte_carlo_classification(design, p, n, reps, seed, noise, workers):
-    tests = np.empty(reps, dtype=np.int64)
-    fp = np.zeros(reps, dtype=np.int64)
-    fn = np.zeros(reps, dtype=np.int64)
-    n_pos = np.zeros(reps, dtype=np.int64)
-    pool_pos = np.zeros(reps, dtype=np.int64)
-    pool_missed = np.zeros(reps, dtype=np.int64)
+    tests, fp, fn, n_pos, pool_pos, pool_missed = np.zeros((6, reps), dtype=np.int64)
 
     if noise is not None:
-        miss = _miss_probs(noise, design.batch_size)
-        noisy_rep = _noisy_dorfman_rep if isinstance(design, DorfmanDesign) else _noisy_sterrett_rep
+        miss = _miss_probs(noise, design.batch_size, p)
 
     def do_block(item):
         block, (lo, hi) = item
@@ -459,13 +450,11 @@ def _monte_carlo_classification(design, p, n, reps, seed, noise, workers):
                 # every positive is a candidate, so presuming adds no false negatives
                 fp[lo:hi] = (presumed & ~statuses).sum(axis=1)
         else:
-            for r in range(lo, hi):
-                row = statuses[r - lo]
-                t, detected, pp, pm = noisy_rep(row, design.batch_size, miss, rng)
-                tests[r] = t
-                fn[r] = int((row & ~detected).sum())
-                fp[r] = int((detected & ~row).sum())
-                pool_pos[r], pool_missed[r] = pp, pm
+            tests[lo:hi], detected, pool_pos[lo:hi], pool_missed[lo:hi] = _noisy_block(
+                design, statuses, miss, rng
+            )
+            fn[lo:hi] = (statuses & ~detected).sum(axis=1)
+            fp[lo:hi] = (detected & ~statuses).sum(axis=1)
 
     _run_blocks(do_block, reps, workers)
 
@@ -502,6 +491,7 @@ def simulate_particle_miss_rate(
     the test misses when the aliquot part catches none.  (The count in one
     part of a uniform multinomial is binomial, which is what is drawn.)
     """
+    seed = _check_batch(seed, 0, "seed")
     n_particles = math.ceil(scenario.particle_count)
     frac = scenario.aliquot_volume / scenario.sample_volume
     rng = np.random.default_rng(np.random.SeedSequence(seed))

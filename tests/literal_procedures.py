@@ -6,6 +6,11 @@ Pools are consecutive blocks; a ragged tail block holds only its real
 members, and a ragged tail cluster is padded with known negatives that are
 never retested.  poolscreen.simulation counts the same tests with vectorized
 kernels, and the tests check those kernels against these loops.
+
+The noisy walks read pre-drawn uniforms in the layout of
+poolscreen.simulation._noisy_block: a pool test on the segment starting at
+person j reads pool_u[j] and misses a positive segment of size k when it is
+below miss[k]; the individual test of person j reads ind_u[j].
 """
 
 import numpy as np
@@ -88,3 +93,64 @@ def run(design, statuses):
     if isinstance(design, HypercubeDesign):
         return grid(statuses, design.side, design.dimension)
     raise ValueError(f"unsupported design {design!r}")
+
+
+def noisy_dorfman(statuses, b, miss, pool_u, ind_u):
+    """(tests, detected mask, positive pools, missed pools) of one noisy
+    Dorfman run; b == 1 tests each person once, as a pool of one."""
+    statuses = np.asarray(statuses, dtype=bool)
+    n = len(statuses)
+    tests = 0
+    detected = np.zeros(n, dtype=bool)
+    positive_pools = missed_pools = 0
+    for lo in range(0, n, b):
+        hi = min(lo + b, n)
+        tests += 1
+        if not statuses[lo:hi].any():
+            continue
+        positive_pools += 1
+        if pool_u[lo] < miss[hi - lo]:
+            missed_pools += 1
+            continue
+        if b == 1:
+            detected[lo] = True
+            continue
+        for j in range(lo, hi):
+            tests += 1
+            if statuses[j] and ind_u[j] >= miss[1]:
+                detected[j] = True
+    return tests, detected, positive_pools, missed_pools
+
+
+def noisy_sterrett(statuses, b, miss, pool_u, ind_u):
+    """(tests, detected mask, positive pools, missed pools) of one noisy
+    Sterrett run: a flagged pool is walked member by member until an
+    individual test comes back positive, and the untested remainder is pooled
+    again; a walk that reaches the last member infers it positive untested."""
+    statuses = np.asarray(statuses, dtype=bool)
+    n = len(statuses)
+    tests = 0
+    detected = np.zeros(n, dtype=bool)
+    positive_pools = missed_pools = 0
+    for start in range(0, n, b):
+        end = min(start + b, n)
+        while start < end:
+            tests += 1
+            if not statuses[start:end].any():
+                break
+            positive_pools += 1
+            if pool_u[start] < miss[end - start]:
+                missed_pools += 1
+                break
+            found = None
+            for j in range(start, end - 1):
+                tests += 1
+                if statuses[j] and ind_u[j] >= miss[1]:
+                    found = j
+                    break
+            if found is None:
+                detected[end - 1] = True
+                break
+            detected[found] = True
+            start = found + 1
+    return tests, detected, positive_pools, missed_pools

@@ -128,6 +128,18 @@ class TestSimulate:
         assert code == 0
         assert json.loads(out)["mean_tests"] == pytest.approx(0.2)
 
+    def test_zero_prevalence_with_noise(self, capsys):
+        # no positives, so there is nothing to miss and no dilution model to ask
+        code, out, _ = run_cli(
+            capsys, "simulate", "--design", "dorfman", "--pool-size", "5",
+            "--prevalence", "0", "--population", "100", "--reps", "10", "--concentration", "5",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["mean_tests"] == 1 / 5
+        assert payload["sensitivity"] == 1.0
+        assert payload["pool_miss_rate"] == 0.0
+
     def test_identical_seed_identical_bytes(self, capsys):
         args = (
             "simulate", "--design", "sterrett", "--pool-size", "9",

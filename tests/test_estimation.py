@@ -235,6 +235,13 @@ class TestOptimalPool:
         assert plan.num_pools == 76
         assert plan.pool_size == 138
 
+    def test_target_mode_finds_a_dip_inside_the_plateau(self):
+        # 34 pools on b = 78..98, except b = 89, which needs only 33
+        p, target = 0.010663944611457131, 0.24605026327803675
+        assert gg_tests_needed(p, 88, target) == gg_tests_needed(p, 90, target) == 34
+        assert gg_tests_needed(p, 89, target) == 33
+        assert gg_optimal_pool(p, target_nrmse=target) == GibbsGowerPlan(89, 33)
+
     def test_gain_vs_individual(self):
         plan = gg_optimal_pool(0.01, target_nrmse=0.15, cap=20)
         gain = gg_tests_needed(0.01, 1, 0.15) / plan.num_pools

@@ -63,6 +63,21 @@ class TestPopulations:
             simulate_population(0, 0.1, 1)
 
 
+@pytest.mark.parametrize("seed", [2.5, "1", -1, None], ids=["float", "str", "negative", "none"])
+def test_seed_must_be_a_nonnegative_integer(seed):
+    noise = DilutionScenario(1.0, 20.0, 5.0, 1, 0.01)
+    calls = [
+        lambda s: monte_carlo(DorfmanDesign(5), 0.05, 100, 10, seed=s),
+        lambda s: run_gibbs_gower(0.05, GibbsGowerPlan(8, 50), seed=s),
+        lambda s: simulate_population(100, 0.05, s).statuses.tobytes(),
+        lambda s: simulation.simulate_particle_miss_rate(noise, 10, s),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="seed"):
+            call(seed)
+        assert call(np.int64(3)) == call(3)
+
+
 # ---------------------------------------------------------------------------
 # single-run procedures
 # ---------------------------------------------------------------------------
@@ -234,6 +249,47 @@ class TestKernelProperties:
         assert_block_matches(block, statuses, lambda row: literal.grid(row, side, dim, confirm))
 
 
+@st.composite
+def sizes_and_miss_rates(draw):
+    """(b, miss[0..b]) with miss[0] == 0: one level for every size, or one per
+    size; levels include the extremes 0 (never missed) and 1 (always missed)."""
+    b = draw(st.integers(1, 40))
+    levels = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+    per_size = draw(
+        st.one_of(levels.map(lambda level: [level] * b), st.lists(levels, min_size=b, max_size=b))
+    )
+    return b, np.r_[0.0, per_size]
+
+
+def assert_noisy_matches_literal(design, statuses, miss, seed):
+    """_noisy_block equals the literal noisy walk on the same uniforms, row by row."""
+    reps, n = statuses.shape
+    tests, detected, pools, missed = simulation._noisy_block(
+        design, statuses, miss, np.random.default_rng(seed)
+    )
+    rng = np.random.default_rng(seed)
+    pool_u, ind_u = rng.random((reps, n)), rng.random((reps, n))
+    walk = literal.noisy_dorfman if isinstance(design, DorfmanDesign) else literal.noisy_sterrett
+    for r, row in enumerate(statuses):
+        literal_out = walk(row, design.batch_size, miss, pool_u[r], ind_u[r])
+        assert tests[r] == literal_out[0]
+        assert np.array_equal(detected[r], literal_out[1])
+        assert (pools[r], missed[r]) == literal_out[2:]
+
+
+class TestNoisyKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(case=sizes_and_miss_rates(), statuses=status_blocks(), seed=st.integers(0, 2**32 - 1))
+    @example(  # ragged tail of 5
+        case=(9, np.r_[0.0, [0.5] * 9]), statuses=np.eye(95, dtype=bool)[[4, 89, 90, 94]], seed=0
+    )
+    def test_noisy_block_matches_literal(self, case, statuses, seed):
+        b, miss = case
+        assert_noisy_matches_literal(DorfmanDesign(b), statuses, miss, seed)
+        if b > 1:
+            assert_noisy_matches_literal(SterrettDesign(b), statuses, miss, seed)
+
+
 # ---------------------------------------------------------------------------
 # the Monte Carlo harness
 # ---------------------------------------------------------------------------
@@ -378,6 +434,20 @@ class TestDilutionNoise:
         a = monte_carlo(DorfmanDesign(10), 0.01, 50, 2000, seed=3, noise=noise)
         b = monte_carlo(DorfmanDesign(10), 0.01, 50, 2000, seed=3, noise=noise, workers=3)
         assert a == b
+
+    def test_noisy_run_worker_independent(self):
+        noise = self.scenario(pool_size=6)
+        a = monte_carlo(SterrettDesign(6), 0.05, 30, 9000, seed=8, noise=noise)
+        b = monte_carlo(SterrettDesign(6), 0.05, 30, 9000, seed=8, noise=noise, workers=3)
+        assert a == b
+
+    def test_zero_prevalence(self):
+        # no positives, so nothing to miss: the dilution model is not consulted
+        noise = DilutionScenario(1.0, 20.0, 5.0, 1, 0.0)
+        for design in (DorfmanDesign(5), SterrettDesign(5)):
+            out = monte_carlo(design, 0.0, 100, 10, seed=0, noise=noise)
+            assert out.mean_tests == 1 / 5
+            assert (out.sensitivity, out.specificity, out.pool_miss_rate) == (1.0, 1.0, 0.0)
 
     def test_sterrett_noise_supported(self):
         noise = self.scenario(pool_size=6)
