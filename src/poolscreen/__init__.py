@@ -33,7 +33,6 @@ from .designs import (
 )
 from .dilution import (
     DilutionScenario,
-    MonitorConfig,
     expected_positives_per_pool,
     individual_false_negative_rate,
     introduced_false_negative_rate,

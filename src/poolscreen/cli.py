@@ -2,8 +2,8 @@
 
 Subcommands: design (recommend a classification architecture), estimate
 (plan a prevalence study or evaluate observed pool counts), simulate (seeded
-Monte Carlo), tables (regenerate the reference tables as CSV/JSON) and
-dilution (false-negative monitoring).
+Monte Carlo, printed as JSON), tables (regenerate the reference tables as
+CSV/JSON) and dilution (false-negative monitoring).
 
 A flat key = value config file can prefill any flag; pass --config PATH or
 set POOLSCREEN_CONFIG.  Explicit flags override the file.  Prevalences may
@@ -334,9 +334,13 @@ def _cmd_dilution(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(sub):
-    sub.add_argument("--format", choices=("text", "json", "csv"), default="text")
+def _add_output(sub):
     sub.add_argument("--output", help="write the result to this path instead of stdout")
+
+
+def _add_common(sub):
+    sub.add_argument("--format", choices=("text", "json"), default="text")
+    _add_output(sub)
 
 
 def _add_dilution_scenario(sub, required: bool):
@@ -389,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_est)
     p_est.set_defaults(func=_cmd_estimate)
 
-    p_sim = commands.add_parser("simulate", help="seeded Monte Carlo run of a design")
+    p_sim = commands.add_parser("simulate", help="seeded Monte Carlo run of a design, as JSON")
     p_sim.add_argument("--design", required=True,
                        choices=("dorfman", "array", "hypercube", "sterrett", "gibbs-gower"))
     p_sim.add_argument("--prevalence", type=float, required=True)
@@ -403,13 +407,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--workers", type=int, default=1)
     _add_dilution_scenario(p_sim, required=False)
-    _add_common(p_sim)
+    _add_output(p_sim)
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_tab = commands.add_parser("tables", help="regenerate a reference table")
     p_tab.add_argument("table_id", choices=sorted(tables.TABLE_IDS))
     p_tab.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_tab.add_argument("--output")
+    _add_output(p_tab)
     p_tab.set_defaults(func=_cmd_tables)
 
     p_dil = commands.add_parser("dilution", help="dilution false-negative monitoring")

@@ -33,7 +33,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
+
+from ._validate import integer, positive_fraction, prob, real
 
 __all__ = [
     "ConstraintSet",
@@ -71,35 +72,6 @@ _INV_E = math.exp(-1.0)
 
 
 # ---------------------------------------------------------------------------
-# validation helpers
-# ---------------------------------------------------------------------------
-
-def _check_prevalence(rho: float, *, open_zero: bool = False, open_one: bool = False) -> float:
-    rho = float(rho)
-    if math.isnan(rho) or rho < 0.0 or rho > 1.0:
-        raise ValueError(f"prevalence must lie in [0, 1], got {rho}")
-    if open_zero and rho == 0.0:
-        raise ValueError("prevalence must be > 0 for this operation")
-    if open_one and rho == 1.0:
-        raise ValueError("prevalence must be < 1 for this operation")
-    return rho
-
-
-def _check_batch(b: int, minimum: int = 1, name: str = "batch size") -> int:
-    if not isinstance(b, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {b!r}")
-    b = int(b)
-    if b < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {b}")
-    return b
-
-
-def _positive_fraction(rho: float, b: int) -> float:
-    """P(pool of b contains at least one positive) = 1 - (1-rho)^b."""
-    return -math.expm1(b * math.log1p(-rho)) if rho < 1.0 else 1.0
-
-
-# ---------------------------------------------------------------------------
 # design parameter sets
 # ---------------------------------------------------------------------------
 
@@ -116,10 +88,9 @@ class ConstraintSet:
     max_cluster_size: int | None = None
 
     def __post_init__(self):
-        if self.max_pool_size is not None:
-            _check_batch(self.max_pool_size, 1, "max_pool_size")
-        if self.max_cluster_size is not None:
-            _check_batch(self.max_cluster_size, 1, "max_cluster_size")
+        for name in ("max_pool_size", "max_cluster_size"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, integer(getattr(self, name), 1, name))
 
     def pool_cap(self, default: int = DEFAULT_BATCH_CAP) -> int:
         return default if self.max_pool_size is None else self.max_pool_size
@@ -132,7 +103,7 @@ class DorfmanDesign:
     batch_size: int
 
     def __post_init__(self):
-        _check_batch(self.batch_size, 1)
+        object.__setattr__(self, "batch_size", integer(self.batch_size, 1, "batch size"))
 
     @property
     def kind(self) -> str:
@@ -145,7 +116,7 @@ class ArrayDesign:
     confirm_stage: bool = True
 
     def __post_init__(self):
-        _check_batch(self.side, 2, "array side")
+        object.__setattr__(self, "side", integer(self.side, 2, "array side"))
 
     @property
     def kind(self) -> str:
@@ -158,8 +129,8 @@ class HypercubeDesign:
     dimension: int
 
     def __post_init__(self):
-        _check_batch(self.side, 2, "hypercube side")
-        _check_batch(self.dimension, 2, "hypercube dimension")
+        object.__setattr__(self, "side", integer(self.side, 2, "hypercube side"))
+        object.__setattr__(self, "dimension", integer(self.dimension, 2, "hypercube dimension"))
 
     @property
     def kind(self) -> str:
@@ -171,7 +142,7 @@ class SterrettDesign:
     batch_size: int
 
     def __post_init__(self):
-        _check_batch(self.batch_size, 2)
+        object.__setattr__(self, "batch_size", integer(self.batch_size, 2, "batch size"))
 
     @property
     def kind(self) -> str:
@@ -204,9 +175,7 @@ def lambert_w0(x: float) -> float:
     from a branch-point / series / asymptotic initial guess; converges to
     relative residual below 1e-12 over the whole domain.
     """
-    x = float(x)
-    if math.isnan(x):
-        raise ValueError("lambert_w0: x is NaN")
+    x = real(x, "x", minimum=-math.inf)
     if x < -_INV_E:
         # allow values a rounding error below the branch point
         if x > -_INV_E * (1.0 + 1e-12):
@@ -256,11 +225,11 @@ def dorfman_expected_tests_per_person(rho: float, b: int) -> float:
     and costs exactly 1 (a single sample never needs a confirmation test, so
     the two-stage formula does not apply at b == 1).
     """
-    rho = _check_prevalence(rho)
-    b = _check_batch(b, 1)
+    rho = prob(rho)
+    b = integer(b, 1, "batch size")
     if b == 1:
         return 1.0
-    return 1.0 / b + _positive_fraction(rho, b)
+    return 1.0 / b + positive_fraction(rho, b)
 
 
 def dorfman_optimal_batch_continuous(rho: float) -> float:
@@ -270,7 +239,7 @@ def dorfman_optimal_batch_continuous(rho: float) -> float:
     small enough that the W argument stays above the branch point -1/e
     (rho below about 0.418); beyond that the cost has no interior minimum.
     """
-    rho = _check_prevalence(rho, open_zero=True, open_one=True)
+    rho = prob(rho, open_zero=True, open_one=True)
     log_q = math.log1p(-rho)
     arg = -0.5 * math.sqrt(-log_q)
     if arg < -_INV_E:
@@ -287,7 +256,7 @@ def dorfman_optimal_batch(rho: float, constraints: ConstraintSet | None = None) 
     Searches b in [2, cap] (cap from constraints, default 64); ties go to the
     smaller batch.  When uncapped the result brackets the continuous optimum.
     """
-    rho = _check_prevalence(rho, open_zero=True, open_one=True)
+    rho = prob(rho, open_zero=True, open_one=True)
     cap = (constraints or ConstraintSet()).pool_cap()
     if cap < 2:
         raise ValueError("batch-size cap below 2 leaves nothing to search")
@@ -311,11 +280,11 @@ def array_expected_tests_per_person(rho: float, b: int, confirm_stage: bool = Tr
     positive columns as independent.  The presumptive variant skips the
     confirmation retests and costs exactly 2/b.
     """
-    rho = _check_prevalence(rho)
-    b = _check_batch(b, 2, "array side")
+    rho = prob(rho)
+    b = integer(b, 2, "array side")
     if not confirm_stage:
         return 2.0 / b
-    return 2.0 / b + _positive_fraction(rho, b) ** 2
+    return 2.0 / b + positive_fraction(rho, b) ** 2
 
 
 def array_expected_tests_exact(rho: float, b: int) -> float:
@@ -325,8 +294,8 @@ def array_expected_tests_exact(rho: float, b: int) -> float:
     is b^2 (1 - 2 q^b + q^(2b-1)) with q = 1 - rho: a row and a column jointly
     cover 2b - 1 cells, which is what the independence approximation ignores.
     """
-    rho = _check_prevalence(rho)
-    b = _check_batch(b, 2, "array side")
+    rho = prob(rho)
+    b = integer(b, 2, "array side")
     q_b = math.exp(b * math.log1p(-rho)) if rho < 1.0 else 0.0
     q_cross = math.exp((2 * b - 1) * math.log1p(-rho)) if rho < 1.0 else 0.0
     return 2.0 / b + 1.0 - 2.0 * q_b + q_cross
@@ -334,7 +303,7 @@ def array_expected_tests_exact(rho: float, b: int) -> float:
 
 def array_optimal_side(rho: float, constraints: ConstraintSet | None = None) -> ArrayDesign:
     """Side length minimizing the approximate array cost, exhaustively."""
-    rho = _check_prevalence(rho, open_zero=True, open_one=True)
+    rho = prob(rho, open_zero=True, open_one=True)
     cons = constraints or ConstraintSet()
     cap = cons.pool_cap()
     if cons.max_cluster_size is not None:
@@ -358,10 +327,10 @@ def hypercube_expected_tests_per_person(rho: float, b: int, d: int) -> float:
     approximation, which for d >= 3 degrades quickly as prevalence grows;
     see independence_gap.
     """
-    rho = _check_prevalence(rho)
-    b = _check_batch(b, 2, "hypercube side")
-    d = _check_batch(d, 2, "hypercube dimension")
-    return d / b + _positive_fraction(rho, b) ** d * float(b) ** (d * (d - 2))
+    rho = prob(rho)
+    b = integer(b, 2, "hypercube side")
+    d = integer(d, 2, "hypercube dimension")
+    return d / b + positive_fraction(rho, b) ** d * float(b) ** (d * (d - 2))
 
 
 def hypercube_expected_tests_exact(rho: float, b: int, d: int) -> float:
@@ -371,9 +340,9 @@ def hypercube_expected_tests_exact(rho: float, b: int, d: int) -> float:
     Any k of those lines jointly cover k(b-1) + 1 cells, so inclusion-
     exclusion gives P(candidate) = 1 + sum_{k=1..d} (-1)^k C(d,k) q^(k(b-1)+1).
     """
-    rho = _check_prevalence(rho)
-    b = _check_batch(b, 2, "hypercube side")
-    d = _check_batch(d, 2, "hypercube dimension")
+    rho = prob(rho)
+    b = integer(b, 2, "hypercube side")
+    d = integer(d, 2, "hypercube dimension")
     if rho == 1.0:
         return d / b + 1.0
     log_q = math.log1p(-rho)
@@ -387,8 +356,8 @@ def hypercube_optimal_side(
     rho: float, d: int, constraints: ConstraintSet | None = None
 ) -> HypercubeDesign:
     """Side length minimizing the approximate hypercube cost, exhaustively."""
-    rho = _check_prevalence(rho, open_zero=True, open_one=True)
-    d = _check_batch(d, 2, "hypercube dimension")
+    rho = prob(rho, open_zero=True, open_one=True)
+    d = integer(d, 2, "hypercube dimension")
     cons = constraints or ConstraintSet()
     cap = cons.pool_cap()
     if cons.max_cluster_size is not None:
@@ -406,7 +375,7 @@ def independence_gap(rho: float, b: int, d: int = 2) -> float:
     (exact - approximate) / approximate; positive means a simulation of the
     real procedure uses more tests than the approximation predicts.
     """
-    if d == 2:
+    if integer(d, 2, "hypercube dimension") == 2:
         approx = array_expected_tests_per_person(rho, b, confirm_stage=True)
         exact = array_expected_tests_exact(rho, b)
     else:
@@ -433,10 +402,8 @@ def sterrett_expected_tests_per_batch(rho: float, b: int) -> float:
     Agrees with brute-force enumeration of all 2^b infection patterns
     (sterrett_expected_tests_enumerated) to machine precision.
     """
-    rho = _check_prevalence(rho)
-    b = _check_batch(b, 1)
-    if b > 4096:
-        raise ValueError("batch size too large for the quadratic recursion")
+    rho = prob(rho)
+    b = integer(b, 1, "batch size", maximum=4096)  # the recursion is quadratic in b
     q = 1.0 - rho
     f = [0.0] * (b + 1)
     for m in range(1, b + 1):
@@ -483,10 +450,8 @@ def sterrett_expected_tests_enumerated(rho: float, b: int) -> float:
     Bounded at b <= 20 (about a million patterns); use the recursion for
     anything larger.
     """
-    rho = _check_prevalence(rho)
-    b = _check_batch(b, 1)
-    if b > 20:
-        raise ValueError("pattern enumeration is limited to b <= 20")
+    rho = prob(rho)
+    b = integer(b, 1, "batch size", maximum=20)
     q = 1.0 - rho
     total = 0.0
     for bits in range(1 << b):
@@ -498,7 +463,7 @@ def sterrett_expected_tests_enumerated(rho: float, b: int) -> float:
 
 def sterrett_optimal_batch(rho: float, constraints: ConstraintSet | None = None) -> SterrettDesign:
     """Batch size minimizing Sterrett tests per person, by exhaustive search."""
-    rho = _check_prevalence(rho, open_zero=True, open_one=True)
+    rho = prob(rho, open_zero=True, open_one=True)
     cap = (constraints or ConstraintSet()).pool_cap()
     if cap < 2:
         raise ValueError("batch-size cap below 2 leaves nothing to search")
@@ -518,7 +483,7 @@ _ARCH_RANK = {"individual": 0, "dorfman": 1, "array": 2, "hypercube": 3, "sterre
 
 def evaluate_design(design, rho: float) -> DesignEvaluation:
     """Expected tests per person (and its reciprocal) for any design."""
-    rho = _check_prevalence(rho)
+    rho = prob(rho)
     if isinstance(design, DorfmanDesign):
         cost = dorfman_expected_tests_per_person(rho, design.batch_size)
     elif isinstance(design, ArrayDesign):
@@ -546,7 +511,7 @@ def best_classification_design(
     which is returned as a batch-size-1 design whenever no pooled scheme
     beats it.  Ties go to the simpler architecture.
     """
-    rho = _check_prevalence(rho, open_zero=True, open_one=True)
+    rho = prob(rho, open_zero=True, open_one=True)
     if not candidates:
         raise ValueError("need at least one candidate architecture")
     cons = constraints or ConstraintSet()
@@ -587,8 +552,16 @@ def classification_crossovers(
 
     Compares Dorfman at min(cap, optimal batch) against array testing with the
     given side.  Between the two crossings array testing is (slightly) cheaper;
-    everywhere else Dorfman wins.
+    everywhere else Dorfman wins.  The cost difference is sampled on `grid`
+    prevalences in [lo, hi], and each sign change is bisected to 1e-10.
     """
+    dorfman_cap = integer(dorfman_cap, 2, "dorfman_cap")
+    array_side = integer(array_side, 2, "array_side")
+    lo = prob(lo, "lo", open_zero=True, open_one=True)
+    hi = prob(hi, "hi", open_zero=True, open_one=True)
+    if not lo < hi:
+        raise ValueError(f"lo must be below hi, got lo={lo!r}, hi={hi!r}")
+    grid = integer(grid, 2, "grid")
 
     def diff(rho: float) -> float:
         return _capped_dorfman_cost(rho, dorfman_cap) - array_expected_tests_per_person(
@@ -599,5 +572,13 @@ def classification_crossovers(
     values = np.array([diff(r) for r in rhos])
     crossings = []
     for i in np.nonzero(np.diff(np.sign(values)) != 0)[0]:
-        crossings.append(float(brentq(diff, rhos[i], rhos[i + 1], xtol=1e-10)))
+        a, b = rhos[i], rhos[i + 1]
+        a_positive = values[i] > 0.0
+        while b - a > 1e-10:
+            mid = 0.5 * (a + b)
+            if (diff(mid) > 0.0) == a_positive:
+                a = mid
+            else:
+                b = mid
+        crossings.append(float(0.5 * (a + b)))
     return crossings

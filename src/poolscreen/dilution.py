@@ -24,11 +24,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
+from ._validate import integer, positive_fraction, prob, real
 
 __all__ = [
     "DilutionScenario",
-    "MonitorConfig",
     "individual_false_negative_rate",
     "expected_positives_per_pool",
     "pooled_false_negative_rate",
@@ -53,21 +52,21 @@ class DilutionScenario:
     prevalence: float
 
     def __post_init__(self):
-        if not self.aliquot_volume > 0:
-            raise ValueError(f"aliquot volume must be positive, got {self.aliquot_volume}")
-        if not self.sample_volume > 0:
-            raise ValueError(f"sample volume must be positive, got {self.sample_volume}")
+        # stored as plain floats and ints, so NumPy scalars compute as Python numbers do
+        checked = {
+            "aliquot_volume": real(self.aliquot_volume, "aliquot_volume", strict=True),
+            "sample_volume": real(self.sample_volume, "sample_volume", strict=True),
+            "concentration": real(self.concentration, "concentration"),
+            "pool_size": integer(self.pool_size, 1, "pool_size"),
+            "prevalence": prob(self.prevalence),
+        }
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
         if self.aliquot_volume > self.sample_volume:
             raise ValueError(
-                "aliquot volume cannot exceed the sample volume "
+                "aliquot_volume cannot exceed sample_volume "
                 f"({self.aliquot_volume} > {self.sample_volume})"
             )
-        if self.concentration < 0:
-            raise ValueError(f"concentration must be nonnegative, got {self.concentration}")
-        if not isinstance(self.pool_size, (int, np.integer)) or self.pool_size < 1:
-            raise ValueError(f"pool size must be a positive integer, got {self.pool_size!r}")
-        if not 0.0 <= self.prevalence <= 1.0:
-            raise ValueError(f"prevalence must lie in [0, 1], got {self.prevalence}")
 
     @property
     def particle_count(self) -> float:
@@ -75,24 +74,6 @@ class DilutionScenario:
 
     def with_pool_size(self, n: int) -> "DilutionScenario":
         return replace(self, pool_size=n)
-
-
-@dataclass(frozen=True)
-class MonitorConfig:
-    """Daily monitoring policy: individually test a fraction of the load and
-    keep the introduced false-negative rate under a threshold."""
-
-    individual_test_fraction: float
-    introduced_fn_threshold: float
-
-    def __post_init__(self):
-        if not 0.0 < self.individual_test_fraction < 1.0:
-            raise ValueError(
-                "individual test fraction must lie strictly in (0, 1), "
-                f"got {self.individual_test_fraction}"
-            )
-        if self.introduced_fn_threshold < 0:
-            raise ValueError("threshold must be nonnegative")
 
 
 def individual_false_negative_rate(scenario: DilutionScenario) -> float:
@@ -105,13 +86,9 @@ def individual_false_negative_rate(scenario: DilutionScenario) -> float:
 
 def expected_positives_per_pool(n_pool: int, p: float) -> float:
     """Mean positives in a pool of n, conditional on at least one: np/(1-(1-p)^n)."""
-    if not isinstance(n_pool, (int, np.integer)) or n_pool < 1:
-        raise ValueError(f"pool size must be a positive integer, got {n_pool!r}")
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"prevalence must lie in (0, 1] for the conditional mean, got {p}")
-    if p == 1.0:
-        return float(n_pool)
-    return n_pool * p / -math.expm1(n_pool * math.log1p(-p))
+    n_pool = integer(n_pool, 1, "pool size")
+    p = prob(p, open_zero=True)
+    return n_pool * p / positive_fraction(p, n_pool)
 
 
 def pooled_false_negative_rate(scenario: DilutionScenario) -> float:
@@ -137,10 +114,8 @@ def max_pool_size_for_threshold(
     Scans downward from max_pool (the introduced rate only grows with the
     pool size); returns 1 when no pooling is acceptable.
     """
-    if threshold < 0:
-        raise ValueError(f"threshold must be nonnegative, got {threshold}")
-    if max_pool < 1:
-        raise ValueError(f"max_pool must be >= 1, got {max_pool}")
+    threshold = real(threshold, "threshold")
+    max_pool = integer(max_pool, 1, "max_pool")
     for n in range(max_pool, 1, -1):
         if introduced_false_negative_rate(base.with_pool_size(n)) <= threshold:
             return n

@@ -39,6 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
+from ._validate import integer, positive_fraction, prob, real
+
 __all__ = [
     "InfeasibleDesignError",
     "GibbsGowerPlan",
@@ -88,10 +90,8 @@ class GibbsGowerPlan:
     num_pools: int
 
     def __post_init__(self):
-        if not isinstance(self.pool_size, (int, np.integer)) or self.pool_size < 1:
-            raise ValueError(f"pool_size must be a positive integer, got {self.pool_size!r}")
-        if not isinstance(self.num_pools, (int, np.integer)) or self.num_pools < 1:
-            raise ValueError(f"num_pools must be a positive integer, got {self.num_pools!r}")
+        object.__setattr__(self, "pool_size", integer(self.pool_size, 1, "pool_size"))
+        object.__setattr__(self, "num_pools", integer(self.num_pools, 1, "num_pools"))
 
     @property
     def total_samples(self) -> int:
@@ -111,14 +111,11 @@ class PoolTestOutcome:
     pool_size: int
 
     def __post_init__(self):
-        if self.num_pools < 1:
-            raise ValueError("num_pools must be >= 1")
-        if self.pool_size < 1:
-            raise ValueError("pool_size must be >= 1")
-        if not 0 <= self.positive_pools <= self.num_pools:
-            raise ValueError(
-                f"positive_pools must lie in [0, {self.num_pools}], got {self.positive_pools}"
-            )
+        t = integer(self.num_pools, 1, "num_pools")
+        k = integer(self.positive_pools, 0, "positive_pools", maximum=t)
+        object.__setattr__(self, "num_pools", t)
+        object.__setattr__(self, "positive_pools", k)
+        object.__setattr__(self, "pool_size", integer(self.pool_size, 1, "pool_size"))
 
 
 @dataclass(frozen=True)
@@ -129,9 +126,7 @@ class CostModel:
     test_weight: float = 10.0
 
     def __post_init__(self):
-        if self.sample_weight < 0 or self.test_weight < 0:
-            raise ValueError("cost weights must be nonnegative")
-        if self.sample_weight + self.test_weight == 0:
+        if real(self.sample_weight, "sample_weight") + real(self.test_weight, "test_weight") == 0:
             raise ValueError("at least one cost weight must be positive")
 
     def objective(self, samples: float, tests: float) -> float:
@@ -164,39 +159,6 @@ class EstimationReport:
     saturated: bool
 
 
-# ---------------------------------------------------------------------------
-# validation helpers
-# ---------------------------------------------------------------------------
-
-def _check_prob(p: float, name: str = "prevalence") -> float:
-    p = float(p)
-    if math.isnan(p) or not 0.0 <= p <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1], got {p}")
-    return p
-
-
-def _check_open_prob(p: float, name: str = "prevalence") -> float:
-    p = _check_prob(p, name)
-    if p == 0.0 or p == 1.0:
-        raise ValueError(f"{name} must lie strictly inside (0, 1), got {p}")
-    return p
-
-
-def _check_pool_size(b, name: str = "pool size") -> int:
-    if not isinstance(b, (int, np.integer)) or int(b) < 1:
-        raise ValueError(f"{name} must be a positive integer, got {b!r}")
-    return int(b)
-
-
-def _check_pool_count(t, bound: int = MAX_EXACT_POOL_COUNT) -> int:
-    if not isinstance(t, (int, np.integer)) or int(t) < 1:
-        raise ValueError(f"pool count must be a positive integer, got {t!r}")
-    t = int(t)
-    if t > bound:
-        raise ValueError(f"pool count {t} exceeds the supported bound {bound}")
-    return t
-
-
 def _ceil_slack(x: float) -> int:
     """ceil that forgives a relative rounding error of ~1e-12."""
     return max(1, math.ceil(x * (1.0 - 1e-12)))
@@ -208,11 +170,7 @@ def _ceil_slack(x: float) -> int:
 
 def pool_positive_prob(p: float, b: int) -> float:
     """Probability 1 - (1-p)^b that a pool of b contains a positive."""
-    p = _check_prob(p)
-    b = _check_pool_size(b)
-    if p == 1.0:
-        return 1.0
-    return -math.expm1(b * math.log1p(-p))
+    return positive_fraction(prob(p), integer(b, 1, "pool size"))
 
 
 def gg_estimate(outcome: PoolTestOutcome) -> float:
@@ -266,8 +224,7 @@ def _exact_moments(p: float, b: int, t: int) -> tuple[float, float]:
         # the estimator reduces to the sample proportion; keep the closed
         # forms so the specialization is exact to machine precision
         return p, p * (1.0 - p) / t
-    pool_prob = 1.0 if p == 1.0 else -math.expm1(b * math.log1p(-p))
-    k, w = _binomial_window(t, pool_prob)
+    k, w = _binomial_window(t, positive_fraction(p, b))
     ph = _estimates_for_counts(k, t, b)
     expected = float(np.dot(w, ph))
     mse = float(np.dot(w, (ph - p) ** 2))
@@ -276,33 +233,31 @@ def _exact_moments(p: float, b: int, t: int) -> tuple[float, float]:
 
 def gg_expected_estimate(p: float, b: int, t: int) -> float:
     """Exact E[p_hat]; an overestimate of p whenever b > 1."""
-    p = _check_prob(p)
-    b = _check_pool_size(b)
-    t = _check_pool_count(t)
+    p = prob(p)
+    b = integer(b, 1, "pool size")
+    t = integer(t, 1, "pool count", MAX_EXACT_POOL_COUNT)
     return _exact_moments(p, b, t)[0]
 
 
 def gg_mse(p: float, b: int, t: int) -> float:
     """Exact mean squared error E[(p_hat - p)^2] of the pooled estimator."""
-    p = _check_prob(p)
-    b = _check_pool_size(b)
-    t = _check_pool_count(t)
+    p = prob(p)
+    b = integer(b, 1, "pool size")
+    t = integer(t, 1, "pool count", MAX_EXACT_POOL_COUNT)
     return _exact_moments(p, b, t)[1]
 
 
 def gg_asymptotic_variance(p: float, b: int, t: int) -> float:
     """Large-t (delta method) variance approximation of the estimator."""
-    p = _check_open_prob(p)
-    b = _check_pool_size(b)
-    t = _check_pool_count(t, bound=2**63)
-    pool_prob = -math.expm1(b * math.log1p(-p))
-    return pool_prob / (t * b * b * (1.0 - p) ** (b - 2))
+    p = prob(p, open_zero=True, open_one=True)
+    b = integer(b, 1, "pool size")
+    t = integer(t, 1, "pool count", 2**63)
+    return positive_fraction(p, b) / (t * b * b * (1.0 - p) ** (b - 2))
 
 
 def gg_nrmse(p: float, b: int, t: int, method: str = "exact") -> float:
     """Root-MSE of the estimator divided by the true prevalence."""
-    if _check_prob(p) == 0.0:
-        raise ValueError("the relative error needs a positive prevalence, got 0")
+    p = prob(p, open_zero=True)
     if method == "exact":
         return math.sqrt(gg_mse(p, b, t)) / p
     if method == "asymptotic":
@@ -315,8 +270,7 @@ def gg_nrmse(p: float, b: int, t: int, method: str = "exact") -> float:
 # ---------------------------------------------------------------------------
 
 def _asymptotic_tests_real(p: float, b: int, target: float) -> float:
-    pool_prob = -math.expm1(b * math.log1p(-p))
-    return pool_prob / (b * b * (1.0 - p) ** (b - 2) * (target * p) ** 2)
+    return positive_fraction(p, b) / (b * b * (1.0 - p) ** (b - 2) * (target * p) ** 2)
 
 
 def _nrmse_unchecked(p: float, b: int, t: int) -> float:
@@ -333,15 +287,13 @@ def gg_tests_needed(
     the large-t variance in closed form and is slightly optimistic (usually
     one or two pools short) once pool positivity is appreciable.
     """
-    p = _check_open_prob(p)
-    b = _check_pool_size(b)
-    target = float(target_nrmse)
-    if not target > 0.0:
-        raise ValueError(f"target NRMSE must be positive, got {target_nrmse}")
+    p = prob(p, open_zero=True, open_one=True)
+    b = integer(b, 1, "pool size")
+    target = real(target_nrmse, "target_nrmse", strict=True)
+    if method not in ("exact", "asymptotic"):
+        raise ValueError(f"method must be 'exact' or 'asymptotic', got {method!r}")
 
     if b == 1 or method == "asymptotic":
-        if method not in ("exact", "asymptotic"):
-            raise ValueError(f"method must be 'exact' or 'asymptotic', got {method!r}")
         # at b == 1 the exact MSE is p(1-p)/t, identical to the asymptotic form
         t = _ceil_slack(_asymptotic_tests_real(p, b, target))
         if t > _T_SEARCH_LIMIT:
@@ -350,8 +302,6 @@ def gg_tests_needed(
                 f"NRMSE {target} at prevalence {p}"
             )
         return t
-    if method != "exact":
-        raise ValueError(f"method must be 'exact' or 'asymptotic', got {method!r}")
 
     bound = target * (1.0 + _REL_GUARD)
 
@@ -397,10 +347,12 @@ def gg_tests_needed_real(p: float, b: int, target_nrmse: float) -> float:
     Linear interpolation of the NRMSE between the two integers bracketing the
     crossing; used to rank pool sizes without integer-rounding cliffs.
     """
-    t_int = gg_tests_needed(p, b, target_nrmse)
+    p = prob(p, open_zero=True, open_one=True)
+    b = integer(b, 1, "pool size")
+    target = real(target_nrmse, "target_nrmse", strict=True)
+    t_int = gg_tests_needed(p, b, target)
     if t_int == 1:
         return 1.0
-    target = float(target_nrmse)
     if b == 1:
         return _asymptotic_tests_real(p, b, target)
     n_lo = _nrmse_unchecked(p, b, t_int - 1)
@@ -533,16 +485,14 @@ def gg_optimal_pool(
     The search runs over pool sizes 1..cap; the default cap of ceil(10/p)
     covers everything before estimator saturation makes larger pools useless.
     """
-    p = _check_open_prob(p)
+    p = prob(p, open_zero=True, open_one=True)
     if (fixed_tests is None) == (target_nrmse is None):
         raise ValueError("specify exactly one of fixed_tests / target_nrmse")
-    b_max = cap if cap is not None else _default_pool_cap(p)
-    b_max = _check_pool_size(b_max, "cap")
+    b_max = _default_pool_cap(p) if cap is None else integer(cap, 1, "cap")
     if fixed_tests is not None:
-        return _optimal_pool_fixed_tests(p, _check_pool_count(fixed_tests), b_max)
-    if not target_nrmse > 0.0:
-        raise ValueError("target NRMSE must be positive")
-    return _optimal_pool_target(p, float(target_nrmse), b_max)
+        t = integer(fixed_tests, 1, "fixed_tests", MAX_EXACT_POOL_COUNT)
+        return _optimal_pool_fixed_tests(p, t, b_max)
+    return _optimal_pool_target(p, real(target_nrmse, "target_nrmse", strict=True), b_max)
 
 
 def gg_minimize_cost(
@@ -559,10 +509,8 @@ def gg_minimize_cost(
     full test) cannot mask a genuinely cheaper pool size; the returned plan
     and objective use the actual integer requirement of the winner.
     """
-    p = _check_open_prob(p)
-    target = float(target_nrmse)
-    if not target > 0.0:
-        raise ValueError("target NRMSE must be positive")
+    p = prob(p, open_zero=True, open_one=True)
+    target = real(target_nrmse, "target_nrmse", strict=True)
     b_max = _default_pool_cap(p)
     if caps is not None and getattr(caps, "max_pool_size", None) is not None:
         b_max = caps.max_pool_size
@@ -609,7 +557,7 @@ def estimation_rule_of_thumb(p_guess: float) -> GibbsGowerPlan:
     Pools of 8 up to 10% prevalence, pools of 4 above; keeps the expected
     NRMSE near 15% across the whole 0.1%..30% range without any optimization.
     """
-    p = _check_open_prob(p_guess, "prevalence guess")
+    p = prob(p_guess, "prevalence guess", open_zero=True, open_one=True)
     if p > 0.5:
         raise ValueError(f"rule of thumb covers prevalences up to 0.5, got {p}")
     if p <= 0.10:
@@ -627,9 +575,8 @@ def dorfman_estimation_rmse(p: float, num_tests: int) -> float:
     """
     from . import designs  # local import to keep module load order flexible
 
-    p = _check_open_prob(p)
-    if not isinstance(num_tests, (int, np.integer)) or num_tests < 1:
-        raise ValueError(f"num_tests must be a positive integer, got {num_tests!r}")
+    p = prob(p, open_zero=True, open_one=True)
+    num_tests = integer(num_tests, 1, "num_tests")
     # search past the default cap at low prevalence, where the continuous
     # optimum ~ 1/sqrt(p) can be arbitrarily large
     try:
@@ -673,9 +620,9 @@ def report_for_outcome(outcome: PoolTestOutcome) -> EstimationReport:
 
 def report_for_plan(p: float, b: int, t: int) -> EstimationReport:
     """Predicted estimator behavior for a planned study at assumed prevalence p."""
-    p = _check_open_prob(p)
-    b = _check_pool_size(b)
-    t = _check_pool_count(t)
+    p = prob(p, open_zero=True, open_one=True)
+    b = integer(b, 1, "pool size")
+    t = integer(t, 1, "pool count", MAX_EXACT_POOL_COUNT)
     expected, mse = _exact_moments(p, b, t)
     return EstimationReport(
         p_hat=None,

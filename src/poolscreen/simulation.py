@@ -39,14 +39,15 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Union
 
 import numpy as np
 
 from . import dilution as _dilution
 from . import estimation as _estimation
-from .designs import ArrayDesign, DorfmanDesign, HypercubeDesign, SterrettDesign, _check_batch
+from ._validate import integer, prob
+from .designs import ArrayDesign, DorfmanDesign, HypercubeDesign, SterrettDesign
 from .estimation import GibbsGowerPlan, PoolTestOutcome
 
 __all__ = [
@@ -123,13 +124,12 @@ class MonteCarloSummary:
 
 
 def simulate_population(size: int, p: float, seed: int) -> PopulationSample:
-    size = _check_batch(size, 1, "population size")
-    seed = _check_batch(seed, 0, "seed")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"prevalence must lie in [0, 1], got {p}")
+    size = integer(size, 1, "population size")
+    p = prob(p)
+    seed = integer(seed, 0, "seed")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     statuses = rng.random(size) < p
-    return PopulationSample(statuses, float(p), seed)
+    return PopulationSample(statuses, p, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -286,9 +286,8 @@ def run_sterrett(pop, b: int) -> RunOutcome:
 
 def run_gibbs_gower(p: float, plan: GibbsGowerPlan, seed: int) -> float:
     """Draw plan.num_pools pools of plan.pool_size i.i.d. samples; estimate p."""
-    seed = _check_batch(seed, 0, "seed")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"prevalence must lie in [0, 1], got {p}")
+    p = prob(p)
+    seed = integer(seed, 0, "seed")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     pools = rng.random((plan.num_pools, plan.pool_size)) < p
     positive = int(pools.any(axis=1).sum())
@@ -302,12 +301,14 @@ def run_gibbs_gower(p: float, plan: GibbsGowerPlan, seed: int) -> float:
 # ---------------------------------------------------------------------------
 
 def _miss_probs(noise: _dilution.DilutionScenario, max_pool: int, p: float) -> np.ndarray:
-    """Miss probability for a positive pool of each size 1..max_pool; all 0
-    at p == 0, where there is no positive pool to miss."""
+    """Miss probability for a positive pool of each size 1..max_pool at the
+    run's prevalence p; all 0 at p == 0, where there is no positive pool to
+    miss."""
     probs = np.zeros(max_pool + 1)
     if p > 0.0:
         for k in range(1, max_pool + 1):
-            probs[k] = _dilution.pooled_false_negative_rate(noise.with_pool_size(k))
+            scenario = replace(noise, pool_size=k, prevalence=p)
+            probs[k] = _dilution.pooled_false_negative_rate(scenario)
     return probs
 
 
@@ -379,13 +380,14 @@ def monte_carlo(
     """Run a design `reps` times on fresh populations and aggregate.
 
     Classification designs need population_size; a Gibbs-Gower plan fixes its
-    own sample count.  Identical arguments give bit-identical summaries for
-    any worker count.
+    own sample count.  The dilution model behind `noise` is evaluated at the
+    run's prevalence p; the scenario's own prevalence field is not used.
+    Identical arguments give bit-identical summaries for any worker count.
     """
-    reps = _check_batch(reps, 1, "reps")
-    seed = _check_batch(seed, 0, "seed")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"prevalence must lie in [0, 1], got {p}")
+    p = prob(p)
+    reps = integer(reps, 1, "reps")
+    seed = integer(seed, 0, "seed")
+    workers = integer(workers, 1, "workers")
     if noise is not None and not isinstance(design, (DorfmanDesign, SterrettDesign)):
         raise ValueError("dilution noise is modeled for Dorfman and Sterrett runs only")
 
@@ -393,14 +395,14 @@ def monte_carlo(
         return _monte_carlo_estimation(design, p, reps, seed, workers)
     if population_size is None:
         raise ValueError("classification runs need a positive population_size")
-    n = _check_batch(population_size, 1, "population_size")
+    n = integer(population_size, 1, "population_size")
     return _monte_carlo_classification(design, p, n, reps, seed, noise, workers)
 
 
 def _run_blocks(fn, reps: int, workers: int):
     """Call fn((block, (lo, hi))) on every block of replications."""
     blocks = list(enumerate((lo, min(lo + BLOCK_REPS, reps)) for lo in range(0, reps, BLOCK_REPS)))
-    if workers <= 1:
+    if workers == 1:
         for item in blocks:
             fn(item)
     else:
@@ -491,7 +493,8 @@ def simulate_particle_miss_rate(
     the test misses when the aliquot part catches none.  (The count in one
     part of a uniform multinomial is binomial, which is what is drawn.)
     """
-    seed = _check_batch(seed, 0, "seed")
+    reps = integer(reps, 1, "reps")
+    seed = integer(seed, 0, "seed")
     n_particles = math.ceil(scenario.particle_count)
     frac = scenario.aliquot_volume / scenario.sample_volume
     rng = np.random.default_rng(np.random.SeedSequence(seed))

@@ -46,6 +46,12 @@ class TestDesign:
         assert code == 2
         assert "error" in err
 
+    def test_csv_format_rejected(self, capsys):
+        # design, estimate and dilution print text or JSON only
+        code, out, _ = run_cli(capsys, "design", "--prevalence", "0.02", "--format", "csv")
+        assert code == 2
+        assert out == ""
+
     def test_dilution_safe_size_warning(self, capsys):
         # weak positives make the recommended pool of 8 unsafe
         code, out, _ = run_cli(
@@ -148,6 +154,15 @@ class TestSimulate:
         _, out1, _ = run_cli(capsys, *args)
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
+
+    def test_format_flag_rejected(self, capsys):
+        # simulate always prints JSON
+        code, out, _ = run_cli(
+            capsys, "simulate", "--design", "dorfman", "--pool-size", "5",
+            "--prevalence", "0.05", "--population", "50", "--reps", "10", "--format", "text",
+        )
+        assert code == 2
+        assert out == ""
 
     def test_gibbs_gower_needs_pools(self, capsys):
         code, _, err = run_cli(

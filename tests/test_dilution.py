@@ -7,7 +7,6 @@ import pytest
 
 from poolscreen.dilution import (
     DilutionScenario,
-    MonitorConfig,
     expected_positives_per_pool,
     individual_false_negative_rate,
     introduced_false_negative_rate,
@@ -124,15 +123,6 @@ class TestMaxPoolSize:
 
     def test_no_pooling_acceptable(self):
         assert max_pool_size_for_threshold(scenario(), 1e-6, max_pool=64) == 1
-
-
-class TestMonitorConfig:
-    def test_fraction_domain(self):
-        MonitorConfig(0.05, 0.02)
-        with pytest.raises(ValueError):
-            MonitorConfig(0.0, 0.02)
-        with pytest.raises(ValueError):
-            MonitorConfig(1.0, 0.02)
 
 
 class TestParticleSimulation:

@@ -449,6 +449,17 @@ class TestDilutionNoise:
             assert out.mean_tests == 1 / 5
             assert (out.sensitivity, out.specificity, out.pool_miss_rate) == (1.0, 1.0, 0.0)
 
+    def test_model_uses_the_run_prevalence(self):
+        # the scenario's own prevalence field plays no part in a run
+        for design in (DorfmanDesign(5), SterrettDesign(5)):
+            def run(q):
+                noise = DilutionScenario(1.0, 20.0, 5.0, 1, q)
+                return monte_carlo(design, 0.05, 100, 2000, seed=0, noise=noise)
+
+            expected = run(0.05)
+            for q in (0.01, 0.5, 0.0):
+                assert run(q) == expected
+
     def test_sterrett_noise_supported(self):
         noise = self.scenario(pool_size=6)
         out = monte_carlo(SterrettDesign(6), 0.01, 60, 5000, seed=4, noise=noise)
