@@ -71,6 +71,7 @@ __all__ = [
 MAX_EXACT_POOL_COUNT = 100_000
 
 _T_SEARCH_LIMIT = 1_000_000  # internal ceiling when solving for a test count
+_MSE_ENTRIES = 1 << 15  # (pool size, support point) pairs per _mse_many chunk
 _REL_GUARD = 1e-9  # tolerance when comparing an NRMSE against its target
 
 
@@ -247,12 +248,32 @@ def gg_mse(p: float, b: int, t: int) -> float:
     return _exact_moments(p, b, t)[1]
 
 
+def _log_unit_variance(p: float, b: int) -> float:
+    """log of t * var(p_hat) in the large-t approximation,
+
+        (1 - (1-p)^b) / (b^2 (1-p)^(b-2)),
+
+    taken in log space because (1-p)^(b-2) underflows for large pools."""
+    return math.log(positive_fraction(p, b)) - 2.0 * math.log(b) - (b - 2) * math.log1p(-p)
+
+
+def _exp(x: float) -> float:
+    """exp(x), or inf where it overflows."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def gg_asymptotic_variance(p: float, b: int, t: int) -> float:
-    """Large-t (delta method) variance approximation of the estimator."""
+    """Large-t (delta method) variance approximation of the estimator.
+
+    inf where it exceeds the largest double (large pools, mostly positive).
+    """
     p = prob(p, open_zero=True, open_one=True)
     b = integer(b, 1, "pool size")
     t = integer(t, 1, "pool count", 2**63)
-    return positive_fraction(p, b) / (t * b * b * (1.0 - p) ** (b - 2))
+    return _exp(_log_unit_variance(p, b) - math.log(t))
 
 
 def gg_nrmse(p: float, b: int, t: int, method: str = "exact") -> float:
@@ -270,7 +291,24 @@ def gg_nrmse(p: float, b: int, t: int, method: str = "exact") -> float:
 # ---------------------------------------------------------------------------
 
 def _asymptotic_tests_real(p: float, b: int, target: float) -> float:
-    return positive_fraction(p, b) / (b * b * (1.0 - p) ** (b - 2) * (target * p) ** 2)
+    return _exp(_log_unit_variance(p, b) - 2.0 * (math.log(target) + math.log(p)))
+
+
+def _infeasible(p: float, b: int, target: float) -> InfeasibleDesignError:
+    return InfeasibleDesignError(
+        f"pool size {b} needs more than {_T_SEARCH_LIMIT} pools for "
+        f"NRMSE {target} at prevalence {p}"
+    )
+
+
+def _asymptotic_tests(p: float, b: int, target: float) -> int:
+    """Asymptotic pool count for the target, rounded up; infeasible past the
+    search limit."""
+    # clamped first: the real-valued count may be inf, which has no ceiling
+    t = _ceil_slack(min(_asymptotic_tests_real(p, b, target), 2.0 * _T_SEARCH_LIMIT))
+    if t > _T_SEARCH_LIMIT:
+        raise _infeasible(p, b, target)
+    return t
 
 
 def _nrmse_unchecked(p: float, b: int, t: int) -> float:
@@ -295,25 +333,14 @@ def gg_tests_needed(
 
     if b == 1 or method == "asymptotic":
         # at b == 1 the exact MSE is p(1-p)/t, identical to the asymptotic form
-        t = _ceil_slack(_asymptotic_tests_real(p, b, target))
-        if t > _T_SEARCH_LIMIT:
-            raise InfeasibleDesignError(
-                f"pool size {b} needs more than {_T_SEARCH_LIMIT} pools for "
-                f"NRMSE {target} at prevalence {p}"
-            )
-        return t
+        return _asymptotic_tests(p, b, target)
 
     bound = target * (1.0 + _REL_GUARD)
 
     def ok(t: int) -> bool:
         return _nrmse_unchecked(p, b, t) <= bound
 
-    t0 = max(1, _ceil_slack(_asymptotic_tests_real(p, b, target)))
-    if t0 > _T_SEARCH_LIMIT:
-        raise InfeasibleDesignError(
-            f"pool size {b} needs more than {_T_SEARCH_LIMIT} pools for "
-            f"NRMSE {target} at prevalence {p}"
-        )
+    t0 = _asymptotic_tests(p, b, target)
     if ok(t0):
         # answer lies in [1, t0]; bisect with ok(hi) invariant, lo=0 sentinel
         lo, hi = 0, t0
@@ -328,10 +355,7 @@ def gg_tests_needed(
     while not ok(hi):
         lo, hi = hi, hi * 2
         if hi > _T_SEARCH_LIMIT:
-            raise InfeasibleDesignError(
-                f"pool size {b} needs more than {_T_SEARCH_LIMIT} pools for "
-                f"NRMSE {target} at prevalence {p}"
-            )
+            raise _infeasible(p, b, target)
     while lo + 1 < hi:
         mid = (lo + hi) // 2
         if ok(mid):
@@ -373,17 +397,30 @@ def _default_pool_cap(p: float) -> int:
 
 
 def _mse_many(p: float, bs: np.ndarray, t: int) -> np.ndarray:
-    """Exact MSE for many pool sizes at a fixed pool count (vectorized)."""
+    """Exact MSE for many pool sizes at a fixed pool count (vectorized).
+
+    Consecutive pool sizes share one support window, the union of their
+    +/- 40-sigma windows; each chunk of them takes as many rows as keep
+    rows x window within _MSE_ENTRIES, so the temporaries stay cache-sized
+    whatever t is.
+    """
     out = np.empty(len(bs), dtype=float)
     log_q = math.log1p(-p)
-    for start in range(0, len(bs), 256):
-        chunk = bs[start : start + 256]
-        pool_probs = -np.expm1(chunk * log_q)
-        means = t * pool_probs
-        halves = 40.0 * np.sqrt(means * (1.0 - pool_probs)) + 25.0
-        k_lo = max(0, int(np.min(means - halves)))
-        k_hi = min(t, int(np.max(means + halves)) + 1)
-        k = np.arange(k_lo, k_hi + 1)
+    start = 0
+    while start < len(bs):
+        # every window is at least min(t + 1, 26) wide, which bounds the rows
+        # that can join this chunk; the union window only widens as rows are
+        # added, so the rows that fit the budget are a prefix of them
+        chunk = bs[start : start + max(1, _MSE_ENTRIES // min(t + 1, 26))]
+        probs = -np.expm1(chunk * log_q)
+        means = t * probs
+        halves = 40.0 * np.sqrt(means * (1.0 - probs)) + 25.0
+        lows = np.minimum.accumulate(np.maximum(0, np.floor(means - halves)))
+        highs = np.maximum.accumulate(np.minimum(t, np.floor(means + halves) + 1))
+        fits = (highs - lows + 1) * np.arange(1, len(chunk) + 1) <= _MSE_ENTRIES
+        rows = max(1, int(np.count_nonzero(fits)))
+        chunk, probs = chunk[:rows], probs[:rows]
+        k = np.arange(int(lows[rows - 1]), int(highs[rows - 1]) + 1)
         with np.errstate(divide="ignore"):
             # log(1 - pool_prob) == b log(1-p) exactly, and stays finite even
             # when pool_prob rounds to 1
@@ -391,13 +428,17 @@ def _mse_many(p: float, bs: np.ndarray, t: int) -> np.ndarray:
                 gammaln(t + 1)
                 - gammaln(k + 1)
                 - gammaln(t - k + 1)
-                + k[None, :] * np.log(pool_probs)[:, None]
+                + k[None, :] * np.log(probs)[:, None]
                 + (t - k)[None, :] * (chunk * log_q)[:, None]
             )
             ph = -np.expm1(np.log1p(-k / t)[None, :] / chunk[:, None])
         ph[:, k == t] = 1.0
-        w = np.exp(logw)
-        out[start : start + 256] = np.sum(w * (ph - p) ** 2, axis=1)
+        # w (ph - p)^2 in place: the chunk's 2-D temporaries are its memory
+        ph -= p
+        ph *= ph
+        ph *= np.exp(logw, out=logw)
+        out[start : start + rows] = ph.sum(axis=1)
+        start += rows
     # b == 1 entries: exact closed form
     out[bs == 1] = p * (1.0 - p) / t
     return out

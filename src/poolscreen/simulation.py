@@ -21,7 +21,10 @@ randomness from a fixed block of a counter-based bit stream (Philox keyed by
 depend only on (design, parameters, seed) - not on chunking, scheduling or
 the number of workers - and rerunning with the same seed is bit-identical.
 Aggregation happens on per-replication arrays indexed by r, which makes it
-order-insensitive by construction.
+order-insensitive by construction.  Nor do results depend on row sub-chunks:
+to bound memory, a noise-free block (and a Gibbs-Gower population) is drawn
+and reduced a few rows at a time, and consecutive draws read the same stream
+in the same order as one whole draw would.
 
 Pool membership is consecutive-block assignment; statuses are i.i.d., so any
 assignment rule yields the same distribution.  Populations that do not divide
@@ -72,6 +75,11 @@ PoolingDesign = Union[DorfmanDesign, ArrayDesign, HypercubeDesign, SterrettDesig
 #: each replication reads, i.e. it is part of the reproducibility contract.
 BLOCK_REPS = 4096
 
+# Bytes of uniforms drawn at once.  A noise-free block is drawn and reduced
+# in row sub-chunks of about this size, so its working set stays bounded
+# whatever the population size; the results do not depend on it.
+_DRAW_BYTES = 8 << 20
+
 
 def _block_rng(seed: int, block: int, stream: int = 0) -> np.random.Generator:
     """Counter-based generator for one block of replications."""
@@ -121,6 +129,16 @@ class MonteCarloSummary:
     sensitivity: float | None
     specificity: float | None
     pool_miss_rate: float | None = None  # noise runs: observed pooled miss rate
+
+
+def _draw_rows(rng: np.random.Generator, lo: int, hi: int, n: int, p: float):
+    """Yield (rows, statuses) for rows lo..hi-1 of n Bernoulli(p) statuses each,
+    in sub-chunks of at most _DRAW_BYTES of uniforms (at least one row).  The
+    chunks read rng's stream in the same order as one rng.random((hi - lo, n))."""
+    step = max(1, _DRAW_BYTES // (8 * n))
+    for a in range(lo, hi, step):
+        z = min(a + step, hi)
+        yield slice(a, z), rng.random((z - a, n)) < p
 
 
 def simulate_population(size: int, p: float, seed: int) -> PopulationSample:
@@ -289,8 +307,10 @@ def run_gibbs_gower(p: float, plan: GibbsGowerPlan, seed: int) -> float:
     p = prob(p)
     seed = integer(seed, 0, "seed")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    pools = rng.random((plan.num_pools, plan.pool_size)) < p
-    positive = int(pools.any(axis=1).sum())
+    positive = sum(
+        int(pools.any(axis=1).sum())
+        for _, pools in _draw_rows(rng, 0, plan.num_pools, plan.pool_size, p)
+    )
     return _estimation.gg_estimate(
         PoolTestOutcome(plan.num_pools, positive, plan.pool_size)
     )
@@ -319,7 +339,9 @@ def _noisy_block(design, statuses: np.ndarray, miss: np.ndarray, rng):
     Draws pool_u then ind_u, each of shape (reps, n).  A pool test on the
     segment starting at person j reads pool_u[:, j] and misses a positive
     segment of size k when it is below miss[k]; the individual test of person
-    j reads ind_u[:, j].
+    j reads ind_u[:, j].  Because both are drawn after the whole block's
+    statuses, a noisy block is not split into row sub-chunks: its working set
+    grows with the block (three (reps, n) draws).
     """
     reps, n = statuses.shape
     b = design.batch_size
@@ -444,14 +466,16 @@ def _monte_carlo_classification(design, p, n, reps, seed, noise, workers):
     def do_block(item):
         block, (lo, hi) = item
         rng = _block_rng(seed, block)
-        statuses = rng.random((hi - lo, n)) < p
-        n_pos[lo:hi] = statuses.sum(axis=1)
         if noise is None:
-            tests[lo:hi], presumed = _noise_free_block(design, statuses)
-            if presumed is not None:
-                # every positive is a candidate, so presuming adds no false negatives
-                fp[lo:hi] = (presumed & ~statuses).sum(axis=1)
+            for rows, statuses in _draw_rows(rng, lo, hi, n, p):
+                n_pos[rows] = statuses.sum(axis=1)
+                tests[rows], presumed = _noise_free_block(design, statuses)
+                if presumed is not None:
+                    # every positive is a candidate, so presuming adds no false negatives
+                    fp[rows] = (presumed & ~statuses).sum(axis=1)
         else:
+            statuses = rng.random((hi - lo, n)) < p
+            n_pos[lo:hi] = statuses.sum(axis=1)
             tests[lo:hi], detected, pool_pos[lo:hi], pool_missed[lo:hi] = _noisy_block(
                 design, statuses, miss, rng
             )

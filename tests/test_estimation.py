@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
+from poolscreen import estimation
 from poolscreen.estimation import (
     CostModel,
     GibbsGowerPlan,
@@ -129,6 +130,47 @@ class TestExactMoments:
             ph = -np.expm1(np.log1p(-k / t) / b)
         ph[-1] = 1.0
         assert gg_mse(p, b, t) == pytest.approx(float(np.sum(w * (ph - p) ** 2)), rel=1e-13)
+
+
+def _full_support_mse(p, b, t):
+    """Exact MSE at one pool size as a plain sum over all t + 1 positive-pool
+    counts: no window, no shared support.
+
+    log(1 - P) is b log(1-p), which stays finite where P rounds to 1.  The
+    sum is ill-conditioned at large t (log-gamma terms near 1e6), so it
+    takes log P from NumPy, as the library does: math.log can differ by an
+    ulp, which moves the sum by ~6e-12 at t = 1e5.  For the same reason b = 1
+    is the binomial variance p(1-p)/t; its sum is 2e-11 off at t = 1e5.
+    """
+    if b == 1:
+        return p * (1.0 - p) / t
+    log_q = math.log1p(-p)
+    P = -np.expm1(b * log_q)
+    k = np.arange(t + 1)
+    logw = (gammaln(t + 1) - gammaln(k + 1) - gammaln(t - k + 1)
+            + k * np.log(P) + (t - k) * (b * log_q))
+    with np.errstate(divide="ignore"):
+        ph = -np.expm1(np.log1p(-k / t) / b)
+    ph[t] = 1.0
+    return float(np.sum(np.exp(logw) * (ph - p) ** 2))
+
+
+class TestMseSweep:
+    """_mse_many sums each pool size over a window shared by a chunk of pool
+    sizes, the chunk sized by an entry budget; neither may show in results."""
+
+    # a contiguous run, then scattered sizes out of order
+    SIZES = np.r_[np.arange(1, 31), 3000, 700, 2, 100, 2999, 5, 1500]
+
+    @pytest.mark.parametrize("t", [1, 2, 7, 100, 1000, 12_345, 100_000])
+    def test_matches_full_support_sum(self, monkeypatch, t):
+        for p in (1e-4, 0.01, 0.3):
+            expected = np.array([_full_support_mse(p, int(b), t) for b in self.SIZES])
+            for budget in (estimation._MSE_ENTRIES, 500, 1):
+                monkeypatch.setattr(estimation, "_MSE_ENTRIES", budget)
+                got = estimation._mse_many(p, self.SIZES, t)
+                np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0,
+                                           err_msg=f"p={p} t={t} budget={budget}")
 
 
 class TestAsymptoticVariance:

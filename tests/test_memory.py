@@ -1,0 +1,34 @@
+"""Memory stays bounded at the documented scale.
+
+tracemalloc sees NumPy's buffers, so the peak it reports is the largest
+working set a call builds, independent of what the process held before.
+"""
+
+import tracemalloc
+
+import pytest
+
+from poolscreen.designs import DorfmanDesign
+from poolscreen.estimation import gg_optimal_pool
+from poolscreen.simulation import monte_carlo
+
+LIMIT = 64 << 20  # bytes
+
+CALLS = [
+    # a full 4096-replication block of 20,000 people: 655 MB of uniforms if
+    # drawn whole
+    ("monte_carlo", lambda: monte_carlo(DorfmanDesign(10), 0.01, 20_000, 4096, seed=1)),
+    # an MSE sweep over 2000 pool sizes with support windows up to 1e5 wide
+    ("gg_optimal_pool", lambda: gg_optimal_pool(0.01, fixed_tests=100_000, cap=2000)),
+]
+
+
+@pytest.mark.parametrize("call", [c for _, c in CALLS], ids=[i for i, _ in CALLS])
+def test_peak_traced_memory(call):
+    tracemalloc.start()
+    try:
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < LIMIT, f"peak traced memory {peak / 2**20:.0f} MiB"

@@ -23,6 +23,7 @@ from poolscreen.dilution import DilutionScenario, pooled_false_negative_rate
 from poolscreen.estimation import GibbsGowerPlan, gg_expected_estimate, gg_mse
 from poolscreen import simulation
 from poolscreen.simulation import (
+    BLOCK_REPS,
     PopulationSample,
     monte_carlo,
     run_array,
@@ -383,6 +384,46 @@ class TestMonteCarlo:
     def test_numpy_integer_arguments(self):
         expected = monte_carlo(SterrettDesign(5), 0.05, 100, 300, seed=0)
         assert monte_carlo(SterrettDesign(5), 0.05, np.int64(100), np.int32(300), seed=0) == expected
+
+
+class TestRowSubChunks:
+    """Noise-free blocks and Gibbs-Gower populations are drawn and reduced a
+    few rows at a time; the sub-chunk size must not change any result.  At
+    these sizes the default budget takes every block whole."""
+
+    # pool sizes that leave a ragged last pool of 61 people, and a ragged
+    # last block of 7 replications
+    DESIGNS = [DorfmanDesign(1), DorfmanDesign(7), SterrettDesign(6), ArrayDesign(4),
+               ArrayDesign(4, confirm_stage=False), HypercubeDesign(3, 3)]
+    NOISE = DilutionScenario(1.0, 20.0, 5.0, 1, 0.01)
+    REPS = BLOCK_REPS + 7
+
+    @staticmethod
+    def rows_per_chunk(monkeypatch, rows, n):
+        monkeypatch.setattr(simulation, "_DRAW_BYTES", 8 * n * rows)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("design", DESIGNS, ids=str)
+    def test_noise_free_runs(self, monkeypatch, design, workers):
+        whole = monte_carlo(design, 0.06, 61, self.REPS, seed=5, workers=workers)
+        for rows in (1, 1000):
+            self.rows_per_chunk(monkeypatch, rows, 61)
+            assert monte_carlo(design, 0.06, 61, self.REPS, seed=5, workers=workers) == whole
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("design", [DorfmanDesign(7), SterrettDesign(6)], ids=str)
+    def test_noisy_blocks_stay_whole(self, monkeypatch, design, workers):
+        args = (design, 0.06, 61, self.REPS)
+        whole = monte_carlo(*args, seed=5, noise=self.NOISE, workers=workers)
+        self.rows_per_chunk(monkeypatch, 1, 61)
+        assert monte_carlo(*args, seed=5, noise=self.NOISE, workers=workers) == whole
+
+    def test_gibbs_gower_draws(self, monkeypatch):
+        plan = GibbsGowerPlan(40, 3001)
+        whole = [run_gibbs_gower(0.01, plan, seed) for seed in range(3)]
+        for rows in (1, 1000):
+            self.rows_per_chunk(monkeypatch, rows, 40)
+            assert [run_gibbs_gower(0.01, plan, seed) for seed in range(3)] == whole
 
 
 class TestDilutionNoise:

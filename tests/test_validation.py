@@ -215,3 +215,35 @@ def _numpy(x):
                          ids=[i for i, _, _ in NUMPY_CALLS])
 def test_numpy_scalars_give_the_python_result(fn, args):
     assert fn(*[_numpy(a) for a in args]) == fn(*args)
+
+
+# Valid arguments where (1-p)^(b-2), in the asymptotic variance, leaves the
+# double range: the variance and NRMSE are finite or inf, and the planners
+# report an infeasible design, never ZeroDivisionError or OverflowError.
+HUGE_POOLS = [
+    ("gg_asymptotic_variance", lambda: e.gg_asymptotic_variance(0.5, 2000, 10), math.inf),
+    ("gg_nrmse-asymptotic", lambda: e.gg_nrmse(0.5, 2000, 10, method="asymptotic"), math.inf),
+    # (1-p)^(b-2) = 2^-1098 underflows, yet the variance is finite
+    ("gg_asymptotic_variance-finite", lambda: e.gg_asymptotic_variance(0.5, 1100, 2**62),
+     math.ldexp(1.0 / (2**62 * 1100**2), 1098)),
+    ("report_for_plan", lambda: e.report_for_plan(0.5, 2000, 10).asymptotic_variance, math.inf),
+]
+
+
+@pytest.mark.parametrize("call, expected", [(c, x) for _, c, x in HUGE_POOLS],
+                         ids=[i for i, _, _ in HUGE_POOLS])
+def test_asymptotic_variance_of_huge_pools(call, expected):
+    assert call() == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: e.gg_tests_needed(0.5, 2000, 0.1),
+    lambda: e.gg_tests_needed(0.5, 2000, 0.1, method="asymptotic"),
+    lambda: e.gg_tests_needed_real(0.5, 2000, 0.1),
+    # (1-p)^(b-2) is subnormal and the requirement overflows to inf
+    lambda: e.gg_tests_needed(0.5, 1060, 0.1),
+    lambda: e.gg_tests_needed(0.5, 1060, 0.1, method="asymptotic"),
+], ids=["exact", "asymptotic", "real", "subnormal-exact", "subnormal-asymptotic"])
+def test_huge_pools_are_infeasible(call):
+    with pytest.raises(e.InfeasibleDesignError):
+        call()
