@@ -24,7 +24,9 @@ Planning conventions:
 * optimal pool size at a test budget minimizes the exact MSE over b.
 * optimal pool size for a target first minimizes the integer test
   requirement, then breaks the (wide) ties by the smallest exact MSE at that
-  requirement.
+  requirement.  The search is exhaustive in b and assumes only that the
+  NRMSE falls as t grows; its cost grows with the pool sizes it sweeps,
+  about 1/p (some 0.05 s at p = 1e-4, 1 s at 1e-5, 10 s at 1e-6).
 * cost minimization ranks pool sizes by the fractional test requirement
   (the real-valued t where the exact NRMSE crosses the target), which avoids
   integer-rounding cliffs in the objective, then reports the integer
@@ -39,6 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
+from . import designs
 from ._validate import integer, positive_fraction, prob, real
 
 __all__ = [
@@ -340,23 +343,14 @@ def gg_tests_needed(
     def ok(t: int) -> bool:
         return _nrmse_unchecked(p, b, t) <= bound
 
-    t0 = _asymptotic_tests(p, b, target)
-    if ok(t0):
-        # answer lies in [1, t0]; bisect with ok(hi) invariant, lo=0 sentinel
-        lo, hi = 0, t0
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if ok(mid):
-                hi = mid
-            else:
-                lo = mid
-        return hi
-    lo, hi = t0, 2 * t0
+    # gallop up from the asymptotic count, never past the search limit, then
+    # bisect; lo = 0 is a sentinel, and ok(hi) holds once the gallop stops
+    lo, hi = 0, _ceil_slack(min(_asymptotic_tests_real(p, b, target), _T_SEARCH_LIMIT))
     while not ok(hi):
-        lo, hi = hi, hi * 2
-        if hi > _T_SEARCH_LIMIT:
+        if hi == _T_SEARCH_LIMIT:
             raise _infeasible(p, b, target)
-    while lo + 1 < hi:
+        lo, hi = hi, min(2 * hi, _T_SEARCH_LIMIT)
+    while hi - lo > 1:
         mid = (lo + hi) // 2
         if ok(mid):
             hi = mid
@@ -452,61 +446,40 @@ def _optimal_pool_fixed_tests(p: float, t: int, b_max: int) -> GibbsGowerPlan:
 
 
 def _optimal_pool_target(p: float, target: float, b_max: int) -> GibbsGowerPlan:
-    cache: dict[int, int | None] = {}
-
-    def tests(b: int) -> int | None:
-        if b not in cache:
-            try:
-                cache[b] = gg_tests_needed(p, b, target)
-            except InfeasibleDesignError:
-                cache[b] = None
-        return cache[b]
-
-    grid = np.unique(np.round(np.geomspace(1, b_max, 160)).astype(int))
-    feasible = [(tests(int(b)), int(b)) for b in grid if tests(int(b)) is not None]
-    if not feasible:
+    log_q = math.log1p(-p)
+    # any size's requirement bounds t*; take the size x* / -log(1-p) that
+    # minimizes the asymptotic one (x* solves x e^x = 2 (e^x - 1))
+    b0 = min(max(1, round(1.5936242600400401 / -log_q)), b_max)
+    try:
+        t_hi = gg_tests_needed(p, b0, target)
+    except InfeasibleDesignError:
         raise InfeasibleDesignError(
             f"no pool size up to {b_max} reaches NRMSE {target} at prevalence {p}"
-        )
-    t_star = min(tv for tv, _ in feasible)
-    anchor = min(b for tv, b in feasible if tv == t_star)
-
-    def on_plateau(b: int) -> bool:
-        tv = tests(b)
-        return tv is not None and tv <= t_star
-
-    # the integer test requirement is unimodal in b, so the set of pool sizes
-    # achieving t_star is a contiguous plateau; locate its edges by bisection
-    def edge(direction: int) -> int:
-        inside, step = anchor, 1
-        while True:
-            probe = inside + direction * step
-            if probe < 1 or probe > b_max or not on_plateau(probe):
-                outside = min(max(inside + direction * step, 0), b_max + 1)
-                break
-            inside, step = probe, step * 2
-        while abs(outside - inside) > 1:
-            mid = (inside + outside) // 2
-            if on_plateau(mid):
-                inside = mid
-            else:
-                outside = mid
-        return inside
-
-    left = edge(-1)
-    right = edge(+1)
-    plateau = np.arange(left, right + 1)
-    # unimodality holds only up to rounding: a size inside the plateau can
-    # need a pool fewer than its neighbours, which no bisection probe sees
+        ) from None
     bound = target * (1.0 + _REL_GUARD)
-    while t_star > 1:
-        meets = np.sqrt(_mse_many(p, plateau, t_star - 1)) / p <= bound
-        if not meets.any():
-            break
-        plateau, t_star = plateau[meets], t_star - 1
-    mses = _mse_many(p, plateau, t_star)
-    best = int(plateau[int(np.argmin(mses))])
-    return GibbsGowerPlan(best, tests(best))
+    # every pool positive gives the estimate 1, so MSE >= (1 - (1-p)^b)^t (1-p)^2;
+    # sizes past b_sat miss the target on that term alone at every t <= t_hi
+    b_sat = b_max
+    log_ratio = math.log(bound * p / (1.0 - p))
+    if log_ratio < 0.0:
+        b_sat = min(b_max, int(math.log(-math.expm1(2.0 * log_ratio / t_hi)) / log_q) + 1)
+    bs = np.arange(1, b_sat + 1)
+    mses = _mse_many(p, bs, t_hi)
+    # bisect t in (0, t_hi]: a size that meets the target at t - 1 also meets
+    # it at t, so the candidates shrink to the sizes that meet it at hi
+    meets = np.sqrt(mses) / p <= bound
+    bs, mses = bs[meets], mses[meets]
+    lo, hi = 0, t_hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        mid_mses = _mse_many(p, bs, mid)
+        meets = np.sqrt(mid_mses) / p <= bound
+        if meets.any():
+            hi, bs, mses = mid, bs[meets], mid_mses[meets]
+        else:
+            lo = mid
+    best = int(bs[int(np.argmin(mses))])  # argmin takes the first = smallest b on ties
+    return GibbsGowerPlan(best, hi)
 
 
 def gg_optimal_pool(
@@ -540,7 +513,7 @@ def gg_minimize_cost(
     p: float,
     cost: CostModel,
     target_nrmse: float,
-    caps=None,
+    caps: designs.ConstraintSet | None = None,
 ) -> CostOptimum:
     """Cheapest (pool size, pool count) reaching the target NRMSE.
 
@@ -549,12 +522,13 @@ def gg_minimize_cost(
     fractional requirement so that the integer rounding of t (worth up to a
     full test) cannot mask a genuinely cheaper pool size; the returned plan
     and objective use the actual integer requirement of the winner.
+    caps.max_pool_size, when set, replaces the default cap of ceil(10/p).
     """
     p = prob(p, open_zero=True, open_one=True)
     target = real(target_nrmse, "target_nrmse", strict=True)
-    b_max = _default_pool_cap(p)
-    if caps is not None and getattr(caps, "max_pool_size", None) is not None:
-        b_max = caps.max_pool_size
+    if caps is not None and not isinstance(caps, designs.ConstraintSet):
+        raise ValueError(f"caps must be None or a ConstraintSet, got {caps!r}")
+    b_max = _default_pool_cap(p) if caps is None else caps.pool_cap(_default_pool_cap(p))
 
     cache: dict[int, float | None] = {}
 
@@ -614,8 +588,6 @@ def dorfman_estimation_rmse(p: float, num_tests: int) -> float:
     (individual testing if pooling does not pay).  Treating that effective
     sample as a binomial sample gives RMSE sqrt(p (1-p) / n_eff).
     """
-    from . import designs  # local import to keep module load order flexible
-
     p = prob(p, open_zero=True, open_one=True)
     num_tests = integer(num_tests, 1, "num_tests")
     # search past the default cap at low prevalence, where the continuous

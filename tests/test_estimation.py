@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.special import gammaln
 
 from poolscreen import estimation
+from poolscreen.designs import ConstraintSet
 from poolscreen.estimation import (
     CostModel,
     GibbsGowerPlan,
@@ -250,6 +251,23 @@ class TestTestsNeeded:
         with pytest.raises(InfeasibleDesignError):
             gg_tests_needed(0.01, 5, 1e-4)
 
+    def test_requirement_past_the_search_limit_is_infeasible(self):
+        # an unclamped gallop step past the limit would accept 1,000,979 pools
+        p, b, target = 0.05166312281427339, 194, 0.016670930644760346
+        limit = estimation._T_SEARCH_LIMIT
+        assert math.sqrt(_full_support_mse(p, b, limit)) / p > target
+        with pytest.raises(InfeasibleDesignError, match=f"needs more than {limit} pools"):
+            gg_tests_needed(p, b, target)
+
+    def test_requirement_just_below_the_search_limit(self):
+        # the gallop from the asymptotic count passes the limit here; giving
+        # up there would miss the 909,957 pools that are enough
+        p, b, target = 0.10609379076057374, 101, 0.04480709458131086
+        t = gg_tests_needed(p, b, target)
+        assert t == 909_957
+        assert math.sqrt(_full_support_mse(p, b, t)) / p <= target
+        assert math.sqrt(_full_support_mse(p, b, t - 1)) / p > target
+
     def test_validation(self):
         with pytest.raises(ValueError):
             gg_tests_needed(0.01, 5, 0.0)
@@ -292,6 +310,33 @@ class TestOptimalPool:
         gain = gg_tests_needed(0.3, 1, 0.15) / plan.num_pools
         assert gain == pytest.approx(2.0, abs=0.1)
 
+    def test_target_mode_infeasible_message(self):
+        with pytest.raises(InfeasibleDesignError) as err:
+            gg_optimal_pool(0.01, target_nrmse=1e-4, cap=20)
+        assert str(err.value) == "no pool size up to 20 reaches NRMSE 0.0001 at prevalence 0.01"
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.floats(0.005, 0.45), st.floats(0.05, 0.4), st.integers(1, 80))
+    def test_target_mode_matches_brute_force(self, p, target, cap):
+        # every size's own requirement, then the smallest MSE among the sizes
+        # that need the fewest pools
+        needs = {}
+        for b in range(1, cap + 1):
+            try:
+                needs[b] = gg_tests_needed(p, b, target)
+            except InfeasibleDesignError:
+                pass
+        if not needs:
+            with pytest.raises(InfeasibleDesignError):
+                gg_optimal_pool(p, target_nrmse=target, cap=cap)
+            return
+        t_star = min(needs.values())
+        tied = [b for b, t in needs.items() if t == t_star]
+        best = min(tied, key=lambda b: (gg_mse(p, b, t_star), b))
+        plan = gg_optimal_pool(p, target_nrmse=target, cap=cap)
+        assert plan == GibbsGowerPlan(best, t_star)
+        assert plan.num_pools == gg_tests_needed(p, plan.pool_size, target)
+
     def test_mode_exclusivity(self):
         with pytest.raises(ValueError):
             gg_optimal_pool(0.05)
@@ -311,6 +356,11 @@ class TestMinimizeCost:
         opt = gg_minimize_cost(0.05, CostModel(0.0, 1.0), 0.15)
         assert abs(opt.plan.pool_size - 27) <= 1
         assert abs(opt.plan.num_pools - 73) <= 1
+
+    def test_pool_size_cap(self):
+        # uncapped, the optimum at 1% is pools of 37
+        caps = ConstraintSet(max_pool_size=5)
+        assert gg_minimize_cost(0.01, CostModel(1.0, 10.0), 0.15, caps=caps).plan.pool_size == 5
 
     def test_objective_value_consistent(self):
         cost = CostModel(1.0, 10.0)

@@ -20,6 +20,8 @@ CALLS = [
     ("monte_carlo", lambda: monte_carlo(DorfmanDesign(10), 0.01, 20_000, 4096, seed=1)),
     # an MSE sweep over 2000 pool sizes with support windows up to 1e5 wide
     ("gg_optimal_pool", lambda: gg_optimal_pool(0.01, fixed_tests=100_000, cap=2000)),
+    # the target planner's first sweep: ~14,000 candidate pool sizes
+    ("gg_optimal_pool-target", lambda: gg_optimal_pool(1e-4, target_nrmse=0.15)),
 ]
 
 

@@ -1,5 +1,6 @@
 """Tests for the regenerated reference tables."""
 
+import hashlib
 import json
 import math
 
@@ -89,7 +90,25 @@ class TestEstimationTables:
             assert estimation.gg_nrmse(p, b, t) <= 0.15 * (1 + 1e-9)
 
 
+#: SHA-256 of each table's CSV: the tables are part of the reproducibility
+#: contract, so any byte that moves must be explained
+TABLE_SHA256 = {
+    "exec-classification": "33e5dff2906ee1d5dd14bf128d3b3f35f6195c310358c37c0d133dff55143d5f",
+    "exec-estimation": "5eb0112f7ea6dfddf5d813632163d56da28f6a32b42a760f0489fb6ee5f047ec",
+    "guidelines-nrmse": "65cd77b6dd346bc736742424fdb0af1c0a5d4fd75533fbeac0ddacdd1b887de5",
+    "examples-classification": "b66f10363b21c99a816ee524da39a4b070c79f9f50e13a449c4750e2ad603edd",
+    "rmse-100": "caab002cfbbe41cf0c0a0167d0f55d00803106ab638616600a7f2fdf71c80196",
+    "tests-for-15pct": "32a1d26b14fc655c85aa9c579d1ef80f08bdd2753a5bf5cf6cfc544c57a18267",
+    "cost-optimized": "82ffd8b97430bdda7349bdc7cfbbed89fb2fdcc0974f7afd476d2ebb7f8d3e28",
+}
+
+
 class TestSerialization:
+    @pytest.mark.parametrize("table_id", TABLE_IDS)
+    def test_csv_is_pinned(self, table_id):
+        csv = build_table(table_id).to_csv()
+        assert hashlib.sha256(csv.encode()).hexdigest() == TABLE_SHA256[table_id]
+
     def test_csv_shape_and_style(self):
         csv = build_table("rmse-100").to_csv()
         lines = csv.strip().split("\n")

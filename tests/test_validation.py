@@ -104,6 +104,8 @@ BAD_CALLS = [
     ("gg_optimal_pool-target-inf", lambda: e.gg_optimal_pool(0.05, target_nrmse=INF),
      "target_nrmse"),
     ("gg_minimize_cost-nan", lambda: e.gg_minimize_cost(0.05, e.CostModel(), NAN), "target_nrmse"),
+    ("gg_minimize_cost-caps-int", lambda: e.gg_minimize_cost(0.01, e.CostModel(), 0.15, caps=5),
+     "caps"),
     ("rule_of_thumb-bool", lambda: e.estimation_rule_of_thumb(True), "prevalence guess"),
     ("dorfman_estimation_rmse-float", lambda: e.dorfman_estimation_rmse(0.05, 100.0), "num_tests"),
     ("report_for_plan-nan", lambda: e.report_for_plan(NAN, 5, 100), "prevalence"),
