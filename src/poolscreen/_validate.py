@@ -1,8 +1,9 @@
 """Argument checks shared by every public entry point, and the pool formula.
 
-Each check returns its argument as a plain float or int, or raises
-ValueError naming it.  Strings, bool, NaN and infinities are rejected, and
-so is a float where an integer belongs; NumPy scalars are accepted.  The
+Each check returns its argument as a plain float, int or bool, or raises
+ValueError naming it.  Strings, bool, NaN and infinities are rejected where
+a number belongs, and so is a float where an integer belongs; a flag must be
+a bool.  NumPy scalars are accepted.  The
 type tests check the exact type first and then concrete tuples, never
 numbers.Real: an ABC isinstance costs several times more, and the
 optimizers call checked public cost functions in their inner loops.
@@ -60,6 +61,13 @@ def integer(x, minimum: int, name: str, maximum: int | None = None) -> int:
     if maximum is not None and x > maximum:
         raise ValueError(f"{name} must be <= {maximum}, got {x}")
     return x
+
+
+def boolean(x, name: str) -> bool:
+    """x as a bool; only bool and NumPy bool are accepted, not 0, None or "no"."""
+    if type(x) is bool or isinstance(x, np.bool_):
+        return bool(x)
+    raise ValueError(f"{name} must be True or False, got {x!r}")
 
 
 def positive_fraction(p: float, b: int) -> float:

@@ -241,6 +241,8 @@ def _cmd_estimate(args) -> int:
 
 def _make_design(args):
     kind = args.design
+    if args.presume and kind != "array":
+        raise ValueError("--presume applies to array designs only")
     if kind == "dorfman":
         return designs.DorfmanDesign(args.pool_size)
     if kind == "array":

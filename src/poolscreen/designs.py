@@ -25,6 +25,11 @@ expectation derived by inclusion-exclusion.  The approximation is what the
 optimizers use (it is the standard published form); the exact expectation is
 what a faithful simulation converges to, and ``independence_gap`` reports the
 relative discrepancy between the two.
+
+Each design class carries what callers dispatch on: ``cost(rho)``, its closed
+form, and ``block(statuses[reps, n]) -> (tests, presumed-positive mask, or None
+when every candidate is confirmed)``, the vectorized test count that the Monte
+Carlo harness runs; Dorfman and Sterrett add ``noisy_block``.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._validate import integer, positive_fraction, prob, real
+from ._validate import boolean, integer, positive_fraction, prob, real
 
 __all__ = [
     "ConstraintSet",
@@ -109,44 +114,125 @@ class DorfmanDesign:
     def kind(self) -> str:
         return "individual" if self.batch_size == 1 else "dorfman"
 
+    def cost(self, rho: float) -> float:
+        return dorfman_expected_tests_per_person(rho, self.batch_size)
+
+    def block(self, statuses: np.ndarray):
+        """One test per pool plus a retest of every real member of a positive
+        pool; b == 1 is individual testing, one test per person."""
+        reps, n = statuses.shape
+        b = self.batch_size
+        if b == 1:
+            return np.full(reps, n), None
+        members = _unit_sizes(n, b)
+        return len(members) + _units(statuses, b).any(axis=2) @ members, None
+
+    def noisy_block(self, statuses: np.ndarray, miss: np.ndarray, rng):
+        """(tests, detected mask, positive pools, missed pools) per replication;
+        in individual testing the pool of one is the person's only test."""
+        reps, n = statuses.shape
+        batches, pool_u, ind_hit, m = _noisy_draws(statuses, self.batch_size, miss, rng)
+        positive = batches.any(axis=2)
+        flagged = positive & (pool_u[:, :, 0] >= miss[m])
+        if self.batch_size == 1:
+            tests, detected = np.full(reps, n), flagged[:, :, None]
+        else:
+            tests, detected = len(m) + flagged @ m, flagged[:, :, None] & ind_hit
+        pools, missed = positive.sum(axis=1), (positive & ~flagged).sum(axis=1)
+        return tests, detected.reshape(reps, -1)[:, :n], pools, missed
+
 
 @dataclass(frozen=True)
 class ArrayDesign:
     side: int
     confirm_stage: bool = True
+    kind = "array"
 
     def __post_init__(self):
         object.__setattr__(self, "side", integer(self.side, 2, "array side"))
+        object.__setattr__(self, "confirm_stage", boolean(self.confirm_stage, "confirm_stage"))
 
-    @property
-    def kind(self) -> str:
-        return "array"
+    def cost(self, rho: float) -> float:
+        return array_expected_tests_per_person(rho, self.side, self.confirm_stage)
+
+    def block(self, statuses: np.ndarray):
+        return _grid_block(statuses, self.side, 2, self.confirm_stage)
 
 
 @dataclass(frozen=True)
 class HypercubeDesign:
     side: int
     dimension: int
+    kind = "hypercube"
 
     def __post_init__(self):
         object.__setattr__(self, "side", integer(self.side, 2, "hypercube side"))
         object.__setattr__(self, "dimension", integer(self.dimension, 2, "hypercube dimension"))
 
-    @property
-    def kind(self) -> str:
-        return "hypercube"
+    def cost(self, rho: float) -> float:
+        return hypercube_expected_tests_per_person(rho, self.side, self.dimension)
+
+    def block(self, statuses: np.ndarray):
+        return _grid_block(statuses, self.side, self.dimension, True)
 
 
 @dataclass(frozen=True)
 class SterrettDesign:
     batch_size: int
+    kind = "sterrett"
 
     def __post_init__(self):
         object.__setattr__(self, "batch_size", integer(self.batch_size, 2, "batch size"))
 
-    @property
-    def kind(self) -> str:
-        return "sterrett"
+    def cost(self, rho: float) -> float:
+        return sterrett_expected_tests_per_batch(rho, self.batch_size) / self.batch_size
+
+    def block(self, statuses: np.ndarray):
+        """Closed form of the Sterrett walk, batch by batch.
+
+        A batch of m people with k positives, the last at index l, takes 1
+        test if k == 0; k + m - 1 if l == m - 1 (k positive pools and every
+        member but the inferred last); otherwise k + l + 2 (k positive pools,
+        l + 1 individual tests and the clean remainder pool).
+        """
+        b = self.batch_size
+        batches = _units(statuses, b)
+        m = _unit_sizes(statuses.shape[1], b)
+        k = batches.sum(axis=2)
+        last = b - 1 - batches[:, :, ::-1].argmax(axis=2)
+        tests = np.where(k == 0, 1, np.where(last == m - 1, k + m - 1, k + last + 2))
+        return tests.sum(axis=1), None
+
+    def noisy_block(self, statuses: np.ndarray, miss: np.ndarray, rng):
+        """(tests, detected mask, positive pools, missed pools) per replication.
+
+        Scans the positions of every batch at once.  A batch either needs a
+        pool test on the segment starting here, is walking it member by
+        member, or is done; a walk that reaches the last real member infers
+        it positive without a test.
+        """
+        reps, n = statuses.shape
+        batches, pool_u, ind_hit, m = _noisy_draws(statuses, self.batch_size, miss, rng)
+        seg_positive = np.logical_or.accumulate(batches[:, :, ::-1], axis=2)[:, :, ::-1]
+        detected = np.zeros(batches.shape, dtype=bool)
+        tests, pools, missed = np.zeros((3, reps), dtype=np.int64)
+        need_pool = np.ones(batches.shape[:2], dtype=bool)
+        walking = np.zeros(batches.shape[:2], dtype=bool)
+        for j in range(self.batch_size):
+            positive = need_pool & seg_positive[:, :, j]
+            flagged = positive & (pool_u[:, :, j] >= miss[np.maximum(m - j, 0)])
+            tests += need_pool.sum(axis=1)
+            pools += positive.sum(axis=1)
+            missed += (positive & ~flagged).sum(axis=1)
+            walking |= flagged
+            last = j == m - 1
+            detected[:, :, j] = walking & last
+            walking &= ~last
+            tests += walking.sum(axis=1)
+            need_pool = walking & ind_hit[:, :, j]
+            detected[:, :, j] |= need_pool
+            walking &= ~need_pool
+        return tests, detected.reshape(reps, -1)[:, :n], pools, missed
 
 
 @dataclass(frozen=True)
@@ -282,7 +368,7 @@ def array_expected_tests_per_person(rho: float, b: int, confirm_stage: bool = Tr
     """
     rho = prob(rho)
     b = integer(b, 2, "array side")
-    if not confirm_stage:
+    if not boolean(confirm_stage, "confirm_stage"):
         return 2.0 / b
     return 2.0 / b + positive_fraction(rho, b) ** 2
 
@@ -475,25 +561,86 @@ def sterrett_optimal_batch(rho: float, constraints: ConstraintSet | None = None)
 
 
 # ---------------------------------------------------------------------------
+# block kernels shared by the designs: statuses[reps, n] at once
+# ---------------------------------------------------------------------------
+
+def _units(statuses: np.ndarray, size: int) -> np.ndarray:
+    """statuses[reps, n] as consecutive units, shape (reps, units, size); the
+    tail unit is padded with known negatives (zeros)."""
+    reps, n = statuses.shape
+    units = -(-n // size)
+    if units * size == n:
+        return statuses.reshape(reps, units, size)
+    padded = np.zeros((reps, units * size), dtype=statuses.dtype)
+    padded[:, :n] = statuses
+    return padded.reshape(reps, units, size)
+
+
+def _unit_sizes(n: int, size: int) -> np.ndarray:
+    """Real members of each consecutive unit of `size` covering n people."""
+    units = -(-n // size)
+    sizes = np.full(units, size)
+    sizes[-1] = n - (units - 1) * size
+    return sizes
+
+
+def _grid_block(statuses: np.ndarray, b: int, d: int, confirm: bool):
+    """(tests, presumed mask or None) for array (d = 2) and hypercube runs.
+
+    Every axis-parallel line of each side-b cluster is pooled once; a cell is
+    a candidate when every line through it pooled positive, and is retested
+    when confirm is true and presumed positive otherwise.  A line's
+    positivity is the OR of its b cells, taken slice by slice (any() over a
+    tiny strided axis is several times slower).
+    """
+    reps, n = statuses.shape
+    clusters = _units(statuses, b**d)
+    cubes = clusters.reshape((-1,) + (b,) * d)
+    cand = np.ones(cubes.shape, dtype=bool)
+    for axis in range(1, d + 1):
+        lines = cubes.take([0], axis)
+        for i in range(1, b):
+            lines |= cubes.take([i], axis)
+        cand &= lines
+    line_tests = clusters.shape[1] * d * b ** (d - 1)
+    cand = cand.reshape(reps, -1)[:, :n]
+    if confirm:
+        return line_tests + cand.sum(axis=1), None
+    return np.full(reps, line_tests), cand
+
+
+def _noisy_draws(statuses: np.ndarray, b: int, miss: np.ndarray, rng):
+    """(batches, pool_u, individual hits, batch sizes) of a noisy run on
+    statuses[reps, n] in consecutive batches of b.
+
+    Draws pool_u then ind_u, each of shape (reps, n).  A pool test on the
+    segment starting at person j reads pool_u[:, j] and misses a positive
+    segment of size k when it is below miss[k]; the individual test of
+    person j reads ind_u[:, j] and finds a positive unless it is below
+    miss[1].
+    """
+    reps, n = statuses.shape
+    pool_u = _units(rng.random((reps, n)), b)
+    ind_u = _units(rng.random((reps, n)), b)
+    batches = _units(statuses, b)
+    return batches, pool_u, batches & (ind_u >= miss[1]), _unit_sizes(n, b)
+
+
+# ---------------------------------------------------------------------------
 # cross-design comparison
 # ---------------------------------------------------------------------------
+
+_CLASSIFICATION_DESIGNS = (DorfmanDesign, ArrayDesign, HypercubeDesign, SterrettDesign)
 
 _ARCH_RANK = {"individual": 0, "dorfman": 1, "array": 2, "hypercube": 3, "sterrett": 4}
 
 
 def evaluate_design(design, rho: float) -> DesignEvaluation:
-    """Expected tests per person (and its reciprocal) for any design."""
+    """Expected tests per person (and its reciprocal) for any classification design."""
     rho = prob(rho)
-    if isinstance(design, DorfmanDesign):
-        cost = dorfman_expected_tests_per_person(rho, design.batch_size)
-    elif isinstance(design, ArrayDesign):
-        cost = array_expected_tests_per_person(rho, design.side, design.confirm_stage)
-    elif isinstance(design, HypercubeDesign):
-        cost = hypercube_expected_tests_per_person(rho, design.side, design.dimension)
-    elif isinstance(design, SterrettDesign):
-        cost = sterrett_expected_tests_per_batch(rho, design.batch_size) / design.batch_size
-    else:
+    if not isinstance(design, _CLASSIFICATION_DESIGNS):
         raise ValueError(f"unknown design {design!r}")
+    cost = design.cost(rho)
     gain = math.inf if cost == 0.0 else 1.0 / cost
     return DesignEvaluation(cost, gain, design, rho)
 
@@ -515,20 +662,19 @@ def best_classification_design(
     if not candidates:
         raise ValueError("need at least one candidate architecture")
     cons = constraints or ConstraintSet()
+    optimizers = {
+        "dorfman": dorfman_optimal_batch,
+        "array": array_optimal_side,
+        "hypercube": lambda rho, cons: hypercube_optimal_side(rho, hypercube_dimension, cons),
+        "sterrett": sterrett_optimal_batch,
+    }
 
     evaluations = [evaluate_design(DorfmanDesign(1), rho)]  # individual sentinel
     for kind in candidates:
-        if kind == "dorfman":
-            design = dorfman_optimal_batch(rho, cons)
-        elif kind == "array":
-            design = array_optimal_side(rho, cons)
-        elif kind == "hypercube":
-            design = hypercube_optimal_side(rho, hypercube_dimension, cons)
-        elif kind == "sterrett":
-            design = sterrett_optimal_batch(rho, cons)
-        else:
+        optimize = optimizers.get(kind) if isinstance(kind, str) else None
+        if optimize is None:
             raise ValueError(f"unknown architecture kind {kind!r}")
-        evaluations.append(evaluate_design(design, rho))
+        evaluations.append(evaluate_design(optimize(rho, cons), rho))
 
     return min(
         evaluations,

@@ -92,6 +92,7 @@ class GibbsGowerPlan:
 
     pool_size: int
     num_pools: int
+    kind = "gibbs-gower"
 
     def __post_init__(self):
         object.__setattr__(self, "pool_size", integer(self.pool_size, 1, "pool_size"))
@@ -100,10 +101,6 @@ class GibbsGowerPlan:
     @property
     def total_samples(self) -> int:
         return self.pool_size * self.num_pools
-
-    @property
-    def kind(self) -> str:
-        return "gibbs-gower"
 
 
 @dataclass(frozen=True)

@@ -6,14 +6,15 @@ walks), and aggregates test counts, classification accuracy and estimator
 error.  These empirical numbers are the ground truth the closed-form module
 is validated against.
 
-Each noise-free design has exactly one implementation: a kernel that counts
-the tests of a whole block of replications at once.  The public run_*
-functions apply the same kernels to one population.  The literal
+The test counting belongs to the designs: each design class of the designs
+module has one kernel, block, that counts the tests of a whole block of
+replications at once, and Dorfman and Sterrett designs have a noisy_block
+whose random draws follow a fixed layout (see designs._noisy_draws).  This
+module draws the populations, runs the kernels and aggregates; the public
+run_* functions apply the same kernels to one population.  The literal
 one-pool-at-a-time procedures live in the test suite
 (tests/literal_procedures.py), which checks the kernels against them test
-for test.  Noisy Dorfman and Sterrett runs have one block kernel too; its
-random draws follow a fixed layout (see _noisy_block) that the literal noisy
-walks of the test suite read as well.
+for test.
 
 Reproducibility contract: replication r of a run with root seed s draws its
 randomness from a fixed block of a counter-based bit stream (Philox keyed by
@@ -43,19 +44,18 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Union
 
 import numpy as np
 
 from . import dilution as _dilution
 from . import estimation as _estimation
-from ._validate import integer, prob
+from ._validate import boolean, integer, prob
+from .designs import _CLASSIFICATION_DESIGNS, _grid_block
 from .designs import ArrayDesign, DorfmanDesign, HypercubeDesign, SterrettDesign
 from .estimation import GibbsGowerPlan, PoolTestOutcome
 
 __all__ = [
     "BLOCK_REPS",
-    "PoolingDesign",
     "PopulationSample",
     "RunOutcome",
     "MonteCarloSummary",
@@ -68,8 +68,6 @@ __all__ = [
     "monte_carlo",
     "simulate_particle_miss_rate",
 ]
-
-PoolingDesign = Union[DorfmanDesign, ArrayDesign, HypercubeDesign, SterrettDesign, GibbsGowerPlan]
 
 #: Replications per random block.  Fixed: changing it changes which stream
 #: each replication reads, i.e. it is part of the reproducibility contract.
@@ -151,98 +149,6 @@ def simulate_population(size: int, p: float, seed: int) -> PopulationSample:
 
 
 # ---------------------------------------------------------------------------
-# noise-free kernels: test counts for a whole block statuses[reps, n] at once
-# ---------------------------------------------------------------------------
-
-def _units(statuses: np.ndarray, size: int) -> np.ndarray:
-    """statuses[reps, n] as consecutive units, shape (reps, units, size); the
-    tail unit is padded with known negatives (zeros)."""
-    reps, n = statuses.shape
-    units = -(-n // size)
-    if units * size == n:
-        return statuses.reshape(reps, units, size)
-    padded = np.zeros((reps, units * size), dtype=statuses.dtype)
-    padded[:, :n] = statuses
-    return padded.reshape(reps, units, size)
-
-
-def _unit_sizes(n: int, size: int) -> np.ndarray:
-    """Real members of each consecutive unit of `size` covering n people."""
-    units = -(-n // size)
-    sizes = np.full(units, size)
-    sizes[-1] = n - (units - 1) * size
-    return sizes
-
-
-def _kernel_dorfman(statuses: np.ndarray, b: int) -> np.ndarray:
-    """One test per pool plus a retest of every real member of a positive
-    pool; b == 1 is individual testing, one test per person."""
-    reps, n = statuses.shape
-    if b == 1:
-        return np.full(reps, n)
-    members = _unit_sizes(n, b)
-    return len(members) + _units(statuses, b).any(axis=2) @ members
-
-
-def _kernel_sterrett(statuses: np.ndarray, b: int) -> np.ndarray:
-    """Closed form of the Sterrett walk, batch by batch.
-
-    A batch of m people with k positives, the last at index l, takes 1 test
-    if k == 0; k + m - 1 if l == m - 1 (k positive pools and every member but
-    the inferred last); otherwise k + l + 2 (k positive pools, l + 1
-    individual tests and the clean remainder pool).
-    """
-    batches = _units(statuses, b)
-    m = _unit_sizes(statuses.shape[1], b)
-    k = batches.sum(axis=2)
-    last = b - 1 - batches[:, :, ::-1].argmax(axis=2)
-    tests = np.where(k == 0, 1, np.where(last == m - 1, k + m - 1, k + last + 2))
-    return tests.sum(axis=1)
-
-
-def _grid_block(statuses: np.ndarray, b: int, d: int, confirm: bool):
-    """(tests, presumed mask or None) for array (d = 2) and hypercube runs.
-
-    Every axis-parallel line of each side-b cluster is pooled once; a cell is
-    a candidate when every line through it pooled positive, and is retested
-    when confirm is true and presumed positive otherwise.  A line's
-    positivity is the OR of its b cells, taken slice by slice (any() over a
-    tiny strided axis is several times slower).
-    """
-    reps, n = statuses.shape
-    clusters = _units(statuses, b**d)
-    cubes = clusters.reshape((-1,) + (b,) * d)
-    cand = np.ones(cubes.shape, dtype=bool)
-    for axis in range(1, d + 1):
-        lines = cubes.take([0], axis)
-        for i in range(1, b):
-            lines |= cubes.take([i], axis)
-        cand &= lines
-    line_tests = clusters.shape[1] * d * b ** (d - 1)
-    cand = cand.reshape(reps, -1)[:, :n]
-    if confirm:
-        return line_tests + cand.sum(axis=1), None
-    return np.full(reps, line_tests), cand
-
-
-def _noise_free_block(design, statuses: np.ndarray):
-    """(tests, presumed-positive mask or None) per replication of statuses[reps, n].
-
-    The mask is None when every candidate is confirmed individually, so the
-    classification is exact.
-    """
-    if isinstance(design, DorfmanDesign):
-        return _kernel_dorfman(statuses, design.batch_size), None
-    if isinstance(design, SterrettDesign):
-        return _kernel_sterrett(statuses, design.batch_size), None
-    if isinstance(design, ArrayDesign):
-        return _grid_block(statuses, design.side, 2, design.confirm_stage)
-    if isinstance(design, HypercubeDesign):
-        return _grid_block(statuses, design.side, design.dimension, True)
-    raise ValueError(f"unsupported design {design!r}")
-
-
-# ---------------------------------------------------------------------------
 # single-population runners: the kernels applied to statuses[None]
 # ---------------------------------------------------------------------------
 
@@ -269,8 +175,7 @@ def run_dorfman(pop, b: int) -> RunOutcome:
     The padded tail pool only retests its real members; b == 1 is individual
     testing.  Classification is exact in the noise-free model.
     """
-    design = DorfmanDesign(b)
-    return _run_once(pop, lambda statuses: _noise_free_block(design, statuses))
+    return _run_once(pop, DorfmanDesign(b).block)
 
 
 def run_array(pop, b: int, confirm: bool = True) -> RunOutcome:
@@ -280,8 +185,7 @@ def run_array(pop, b: int, confirm: bool = True) -> RunOutcome:
     confirm=False presumes those cells positive, which can only create false
     positives.
     """
-    design = ArrayDesign(b, confirm_stage=confirm)
-    return _run_once(pop, lambda statuses: _noise_free_block(design, statuses))
+    return _run_once(pop, ArrayDesign(b, confirm_stage=confirm).block)
 
 
 def run_hypercube(pop, b: int, d: int, confirm: bool = True) -> RunOutcome:
@@ -290,6 +194,7 @@ def run_hypercube(pop, b: int, d: int, confirm: bool = True) -> RunOutcome:
     confirm=False presumes the candidate cells positive, as in run_array.
     """
     design = HypercubeDesign(b, d)
+    confirm = boolean(confirm, "confirm")
     return _run_once(
         pop, lambda statuses: _grid_block(statuses, design.side, design.dimension, confirm)
     )
@@ -298,8 +203,7 @@ def run_hypercube(pop, b: int, d: int, confirm: bool = True) -> RunOutcome:
 def run_sterrett(pop, b: int) -> RunOutcome:
     """Sterrett testing: walk positive pools individual-by-individual,
     re-pooling the untested remainder after each positive found."""
-    design = SterrettDesign(b)
-    return _run_once(pop, lambda statuses: _noise_free_block(design, statuses))
+    return _run_once(pop, SterrettDesign(b).block)
 
 
 def run_gibbs_gower(p: float, plan: GibbsGowerPlan, seed: int) -> float:
@@ -317,7 +221,7 @@ def run_gibbs_gower(p: float, plan: GibbsGowerPlan, seed: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# noisy kernels (dilution false negatives), a whole block at once
+# dilution false negatives
 # ---------------------------------------------------------------------------
 
 def _miss_probs(noise: _dilution.DilutionScenario, max_pool: int, p: float) -> np.ndarray:
@@ -332,66 +236,12 @@ def _miss_probs(noise: _dilution.DilutionScenario, max_pool: int, p: float) -> n
     return probs
 
 
-def _noisy_block(design, statuses: np.ndarray, miss: np.ndarray, rng):
-    """(tests, detected mask, positive pools, missed pools) per replication of
-    a noisy Dorfman or Sterrett run on statuses[reps, n].
-
-    Draws pool_u then ind_u, each of shape (reps, n).  A pool test on the
-    segment starting at person j reads pool_u[:, j] and misses a positive
-    segment of size k when it is below miss[k]; the individual test of person
-    j reads ind_u[:, j].  Because both are drawn after the whole block's
-    statuses, a noisy block is not split into row sub-chunks: its working set
-    grows with the block (three (reps, n) draws).
-    """
-    reps, n = statuses.shape
-    b = design.batch_size
-    pool_u = _units(rng.random((reps, n)), b)
-    ind_u = _units(rng.random((reps, n)), b)
-    batches = _units(statuses, b)
-    m = _unit_sizes(n, b)
-    ind_hit = batches & (ind_u >= miss[1])
-    if isinstance(design, DorfmanDesign):
-        positive = batches.any(axis=2)
-        flagged = positive & (pool_u[:, :, 0] >= miss[m])
-        if b == 1:  # individual testing: the pool of one is the person's only test
-            tests, detected = np.full(reps, n), flagged[:, :, None]
-        else:
-            tests, detected = len(m) + flagged @ m, flagged[:, :, None] & ind_hit
-        pools, missed = positive.sum(axis=1), (positive & ~flagged).sum(axis=1)
-        return tests, detected.reshape(reps, -1)[:, :n], pools, missed
-
-    # Sterrett: scan the positions of every batch at once.  A batch either
-    # needs a pool test on the segment starting here, is walking it member by
-    # member, or is done; a walk that reaches the last real member infers it
-    # positive without a test.
-    seg_positive = np.logical_or.accumulate(batches[:, :, ::-1], axis=2)[:, :, ::-1]
-    detected = np.zeros(batches.shape, dtype=bool)
-    tests, pools, missed = np.zeros((3, reps), dtype=np.int64)
-    need_pool = np.ones(batches.shape[:2], dtype=bool)
-    walking = np.zeros(batches.shape[:2], dtype=bool)
-    for j in range(b):
-        positive = need_pool & seg_positive[:, :, j]
-        flagged = positive & (pool_u[:, :, j] >= miss[np.maximum(m - j, 0)])
-        tests += need_pool.sum(axis=1)
-        pools += positive.sum(axis=1)
-        missed += (positive & ~flagged).sum(axis=1)
-        walking |= flagged
-        last = j == m - 1
-        detected[:, :, j] = walking & last
-        walking &= ~last
-        tests += walking.sum(axis=1)
-        need_pool = walking & ind_hit[:, :, j]
-        detected[:, :, j] |= need_pool
-        walking &= ~need_pool
-    return tests, detected.reshape(reps, -1)[:, :n], pools, missed
-
-
 # ---------------------------------------------------------------------------
 # the Monte Carlo harness
 # ---------------------------------------------------------------------------
 
 def monte_carlo(
-    design: PoolingDesign,
+    design,
     p: float,
     population_size: int | None,
     reps: int,
@@ -410,11 +260,13 @@ def monte_carlo(
     reps = integer(reps, 1, "reps")
     seed = integer(seed, 0, "seed")
     workers = integer(workers, 1, "workers")
-    if noise is not None and not isinstance(design, (DorfmanDesign, SterrettDesign)):
+    if noise is not None and not hasattr(design, "noisy_block"):
         raise ValueError("dilution noise is modeled for Dorfman and Sterrett runs only")
 
     if isinstance(design, GibbsGowerPlan):
         return _monte_carlo_estimation(design, p, reps, seed, workers)
+    if not isinstance(design, _CLASSIFICATION_DESIGNS):
+        raise ValueError(f"unsupported design {design!r}")
     if population_size is None:
         raise ValueError("classification runs need a positive population_size")
     n = integer(population_size, 1, "population_size")
@@ -469,15 +321,17 @@ def _monte_carlo_classification(design, p, n, reps, seed, noise, workers):
         if noise is None:
             for rows, statuses in _draw_rows(rng, lo, hi, n, p):
                 n_pos[rows] = statuses.sum(axis=1)
-                tests[rows], presumed = _noise_free_block(design, statuses)
+                tests[rows], presumed = design.block(statuses)
                 if presumed is not None:
                     # every positive is a candidate, so presuming adds no false negatives
                     fp[rows] = (presumed & ~statuses).sum(axis=1)
         else:
+            # the noise draws follow the whole block's statuses, so a noisy
+            # block is drawn whole: three (reps, n) draws
             statuses = rng.random((hi - lo, n)) < p
             n_pos[lo:hi] = statuses.sum(axis=1)
-            tests[lo:hi], detected, pool_pos[lo:hi], pool_missed[lo:hi] = _noisy_block(
-                design, statuses, miss, rng
+            tests[lo:hi], detected, pool_pos[lo:hi], pool_missed[lo:hi] = design.noisy_block(
+                statuses, miss, rng
             )
             fn[lo:hi] = (statuses & ~detected).sum(axis=1)
             fp[lo:hi] = (detected & ~statuses).sum(axis=1)

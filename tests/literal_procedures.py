@@ -4,11 +4,13 @@ Each function runs one population through a design the way a lab would,
 one pool at a time, and returns (tests used, cells classified positive).
 Pools are consecutive blocks; a ragged tail block holds only its real
 members, and a ragged tail cluster is padded with known negatives that are
-never retested.  poolscreen.simulation counts the same tests with vectorized
-kernels, and the tests check those kernels against these loops.
+never retested.  Each design class of poolscreen.designs counts the same
+tests with a vectorized kernel, block, and the tests check those kernels
+against these loops; run() therefore dispatches on its own, never through
+block.
 
 The noisy walks read pre-drawn uniforms in the layout of
-poolscreen.simulation._noisy_block: a pool test on the segment starting at
+poolscreen.designs._noisy_draws: a pool test on the segment starting at
 person j reads pool_u[j] and misses a positive segment of size k when it is
 below miss[k]; the individual test of person j reads ind_u[j].
 """

@@ -180,6 +180,25 @@ class TestSimulate:
         assert out == ""
         assert "noise" in err
 
+    @pytest.mark.parametrize("design", ["dorfman", "hypercube", "sterrett", "gibbs-gower"])
+    def test_presume_only_for_arrays(self, capsys, design):
+        # --presume selects the presumptive array variant; elsewhere it would be ignored
+        code, out, err = run_cli(
+            capsys, "simulate", "--design", design, "--pool-size", "4", "--pools", "20",
+            "--prevalence", "0.05", "--population", "64", "--reps", "10", "--presume",
+        )
+        assert code == 2
+        assert out == ""
+        assert "--presume" in err and "array" in err
+
+    def test_presume_array(self, capsys):
+        args = ("simulate", "--design", "array", "--pool-size", "4", "--prevalence", "0.05",
+                "--population", "64", "--reps", "10")
+        code, out, _ = run_cli(capsys, *args, "--presume")
+        assert code == 0
+        assert json.loads(out)["design"]["confirm_stage"] is False
+        assert json.loads(run_cli(capsys, *args)[1])["design"]["confirm_stage"] is True
+
     def test_gibbs_gower_summary(self, capsys):
         code, out, _ = run_cli(
             capsys, "simulate", "--design", "gibbs-gower", "--pool-size", "8",

@@ -1,0 +1,77 @@
+"""Seeded results pinned bit for bit.
+
+One SHA-256 over the repr of seeded Monte Carlo summaries and single-run
+outcomes, the way test_tables pins the tables.  A change that moves any
+seeded value - a kernel, the draw layout, the block keying, aggregation -
+fails here, even when the statistical gates elsewhere still pass.  Re-pin
+only when a change moves the random stream on purpose, and say why.
+"""
+
+import hashlib
+
+import numpy as np
+
+from poolscreen.designs import ArrayDesign, DorfmanDesign, HypercubeDesign, SterrettDesign
+from poolscreen.dilution import DilutionScenario
+from poolscreen.estimation import GibbsGowerPlan
+from poolscreen.simulation import (
+    BLOCK_REPS,
+    monte_carlo,
+    run_array,
+    run_dorfman,
+    run_hypercube,
+    run_sterrett,
+)
+
+NOISE = DilutionScenario(1.0, 20.0, 5.0, 1, 0.01)
+
+# (design, prevalence, population size, reps, seed, noisy); sizes leave
+# ragged last pools, clusters and batches
+MONTE_CARLO_CASES = [
+    (DorfmanDesign(1), 0.07, 37, 500, 1, False),
+    (DorfmanDesign(5), 0.05, 61, BLOCK_REPS + 7, 2, False),
+    (SterrettDesign(6), 0.05, 61, BLOCK_REPS + 7, 3, False),
+    (ArrayDesign(4), 0.06, 61, BLOCK_REPS + 7, 4, False),
+    (ArrayDesign(4, confirm_stage=False), 0.06, 61, 800, 5, False),
+    (HypercubeDesign(3, 3), 0.04, 61, 600, 6, False),
+    (HypercubeDesign(3, 4), 0.02, 100, 300, 7, False),
+    (DorfmanDesign(7), 0.06, 61, BLOCK_REPS + 7, 8, True),
+    (SterrettDesign(6), 0.06, 61, BLOCK_REPS + 7, 9, True),
+    (DorfmanDesign(1), 0.06, 40, 300, 10, True),
+    (DorfmanDesign(6), 0.0, 30, 50, 11, False),
+    (SterrettDesign(6), 1.0, 30, 50, 12, True),
+    (ArrayDesign(5), 1.0, 30, 50, 13, False),
+    (GibbsGowerPlan(8, 50), 0.03, None, BLOCK_REPS + 7, 14, False),
+]
+
+SEEDED_SHA256 = "9fffeb3ad8d54d3bf2f575242437ad5358c7cdeca4507bd2efcff532177cd587"
+
+
+def _outcome(out):
+    return (out.tests_used, out.classified_positive.tolist(),
+            out.classified_negative.tolist(), out.false_negatives, out.false_positives)
+
+
+def seeded_results() -> list:
+    results = []
+    for design, p, n, reps, seed, noisy in MONTE_CARLO_CASES:
+        for workers in (1, 2):
+            noise = NOISE if noisy else None
+            results.append(monte_carlo(design, p, n, reps, seed, noise=noise, workers=workers))
+    rng = np.random.default_rng(20)
+    for n, p in ((1, 0.5), (37, 0.1), (100, 0.05), (200, 0.3)):
+        statuses = rng.random(n) < p
+        for b in (1, 3, 8):
+            results.append(_outcome(run_dorfman(statuses, b)))
+        for b in (2, 5, 9):
+            results.append(_outcome(run_sterrett(statuses, b)))
+        for b, confirm in ((3, True), (4, False), (5, True)):
+            results.append(_outcome(run_array(statuses, b, confirm)))
+        for b, d, confirm in ((2, 3, True), (3, 3, False), (2, 4, True)):
+            results.append(_outcome(run_hypercube(statuses, b, d, confirm)))
+    return results
+
+
+def test_seeded_results_are_pinned():
+    digest = hashlib.sha256(repr(seeded_results()).encode()).hexdigest()
+    assert digest == SEEDED_SHA256

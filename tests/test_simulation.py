@@ -21,7 +21,7 @@ from poolscreen.designs import (
 )
 from poolscreen.dilution import DilutionScenario, pooled_false_negative_rate
 from poolscreen.estimation import GibbsGowerPlan, gg_expected_estimate, gg_mse
-from poolscreen import simulation
+from poolscreen import designs, simulation
 from poolscreen.simulation import (
     BLOCK_REPS,
     PopulationSample,
@@ -168,7 +168,7 @@ def assert_block_matches(block, statuses, oracle):
 
 
 def assert_matches_literal(design, statuses):
-    block = simulation._noise_free_block(design, statuses)
+    block = design.block(statuses)
     assert_block_matches(block, statuses, lambda row: literal.run(design, row))
 
 
@@ -246,7 +246,7 @@ class TestKernelProperties:
     @example(shape=(4, 2), confirm=False, statuses=np.eye(16, dtype=bool)[[0]] | np.eye(16, dtype=bool)[[5]])
     def test_grid_kernel_matches_literal(self, shape, confirm, statuses):
         side, dim = shape
-        block = simulation._grid_block(statuses, side, dim, confirm)
+        block = designs._grid_block(statuses, side, dim, confirm)
         assert_block_matches(block, statuses, lambda row: literal.grid(row, side, dim, confirm))
 
 
@@ -263,10 +263,10 @@ def sizes_and_miss_rates(draw):
 
 
 def assert_noisy_matches_literal(design, statuses, miss, seed):
-    """_noisy_block equals the literal noisy walk on the same uniforms, row by row."""
+    """noisy_block equals the literal noisy walk on the same uniforms, row by row."""
     reps, n = statuses.shape
-    tests, detected, pools, missed = simulation._noisy_block(
-        design, statuses, miss, np.random.default_rng(seed)
+    tests, detected, pools, missed = design.noisy_block(
+        statuses, miss, np.random.default_rng(seed)
     )
     rng = np.random.default_rng(seed)
     pool_u, ind_u = rng.random((reps, n)), rng.random((reps, n))

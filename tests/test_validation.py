@@ -34,6 +34,9 @@ BAD_CALLS = [
     ("DorfmanDesign-float", lambda: d.DorfmanDesign(2.5), "batch size"),
     ("DorfmanDesign-bool", lambda: d.DorfmanDesign(True), "batch size"),
     ("ArrayDesign-str", lambda: d.ArrayDesign("8"), "array side"),
+    ("ArrayDesign-confirm-str", lambda: d.ArrayDesign(8, "no"), "confirm_stage"),
+    ("ArrayDesign-confirm-none", lambda: d.ArrayDesign(8, None), "confirm_stage"),
+    ("ArrayDesign-confirm-int", lambda: d.ArrayDesign(8, 0), "confirm_stage"),
     ("HypercubeDesign-side-float", lambda: d.HypercubeDesign(4.0, 3), "hypercube side"),
     ("HypercubeDesign-dim-str", lambda: d.HypercubeDesign(4, "3"), "hypercube dimension"),
     ("SterrettDesign-numpy-float", lambda: d.SterrettDesign(np.float64(6)), "batch size"),
@@ -47,6 +50,8 @@ BAD_CALLS = [
     ("dorfman_continuous-inf", lambda: d.dorfman_optimal_batch_continuous(INF), "prevalence"),
     ("dorfman_optimal-str", lambda: d.dorfman_optimal_batch("0.02"), "prevalence"),
     ("array_cost-float", lambda: d.array_expected_tests_per_person(0.05, 8.5), "array side"),
+    ("array_cost-confirm-str", lambda: d.array_expected_tests_per_person(0.05, 8, "false"),
+     "confirm_stage"),
     ("array_exact-nan", lambda: d.array_expected_tests_exact(NAN, 8), "prevalence"),
     ("array_optimal-bool", lambda: d.array_optimal_side(True), "prevalence"),
     ("hypercube_cost-dim-float", lambda: d.hypercube_expected_tests_per_person(0.05, 4, 3.0),
@@ -63,7 +68,14 @@ BAD_CALLS = [
      "batch size"),
     ("sterrett_optimal-nan", lambda: d.sterrett_optimal_batch(NAN), "prevalence"),
     ("evaluate_design-str", lambda: d.evaluate_design(d.DorfmanDesign(5), "0.05"), "prevalence"),
+    ("evaluate_design-gibbs-gower", lambda: d.evaluate_design(e.GibbsGowerPlan(5, 10), 0.05),
+     "design"),
+    ("evaluate_design-object", lambda: d.evaluate_design(object(), 0.05), "design"),
     ("best_design-nan", lambda: d.best_classification_design(NAN), "prevalence"),
+    ("best_design-kind-unknown", lambda: d.best_classification_design(0.05, candidates=("grid",)),
+     "architecture kind"),
+    ("best_design-kind-list",
+     lambda: d.best_classification_design(0.05, candidates=(["array"],)), "architecture kind"),
     ("crossovers-cap-float", lambda: d.classification_crossovers(dorfman_cap=8.0), "dorfman_cap"),
     ("crossovers-side-bool", lambda: d.classification_crossovers(array_side=True), "array_side"),
     ("crossovers-lo-zero", lambda: d.classification_crossovers(lo=0.0), "lo"),
@@ -127,6 +139,14 @@ BAD_CALLS = [
      "population size"),
     ("run_gibbs_gower-nan", lambda: s.run_gibbs_gower(NAN, e.GibbsGowerPlan(8, 50), 1),
      "prevalence"),
+    ("run_array-confirm-str", lambda: s.run_array(np.ones(16, bool), 4, "no"), "confirm"),
+    ("run_hypercube-confirm-none", lambda: s.run_hypercube(np.ones(27, bool), 3, 3, None),
+     "confirm"),
+    ("run_hypercube-confirm-int", lambda: s.run_hypercube(np.ones(27, bool), 3, 3, 0), "confirm"),
+    ("monte_carlo-object", lambda: s.monte_carlo(object(), 0.05, 100, 10, seed=0), "design"),
+    ("monte_carlo-str-design", lambda: s.monte_carlo("dorfman", 0.05, 100, 10, seed=0), "design"),
+    ("monte_carlo-array-noise",
+     lambda: s.monte_carlo(d.ArrayDesign(8), 0.05, 64, 10, seed=0, noise=scenario()), "noise"),
     ("monte_carlo-str", lambda: s.monte_carlo(d.DorfmanDesign(5), "0.05", 100, 10, seed=0),
      "prevalence"),
     ("monte_carlo-nan", lambda: s.monte_carlo(d.DorfmanDesign(5), NAN, 100, 10, seed=0),
@@ -156,14 +176,23 @@ def test_bad_argument_raises_value_error_naming_it(call, name):
     assert name in str(info.value)
 
 
-# (id, function, arguments); every int and float argument is replayed as a
-# NumPy scalar.  The floats are exact in float32, so np.float32 keeps values.
+STATUSES = np.random.default_rng(0).random(40) < 0.2
+
+
+def _outcome(out):
+    return out.tests_used, out.classified_positive.tolist()
+
+
+# (id, function, arguments); every bool, int and float argument is replayed as
+# a NumPy scalar.  The floats are exact in float32, so np.float32 keeps values.
 NUMPY_CALLS = [
     ("ConstraintSet", lambda a, b: d.array_optimal_side(0.03125, d.ConstraintSet(a, b)),
      (16, 100)),
     ("dorfman_cost", d.dorfman_expected_tests_per_person, (0.03125, 7)),
     ("dorfman_optimal", d.dorfman_optimal_batch, (0.03125,)),
     ("lambert_w0", d.lambert_w0, (-0.25,)),
+    ("array_cost-confirm", d.array_expected_tests_per_person, (0.0625, 6, False)),
+    ("ArrayDesign-confirm", lambda c: d.evaluate_design(d.ArrayDesign(6, c), 0.0625), (False,)),
     ("array_exact", d.array_expected_tests_exact, (0.0625, 6)),
     ("hypercube_cost", d.hypercube_expected_tests_per_person, (0.03125, 3, 3)),
     ("hypercube_optimal", d.hypercube_optimal_side, (0.03125, 3)),
@@ -194,6 +223,8 @@ NUMPY_CALLS = [
     ("max_pool", lambda x, m: dil.max_pool_size_for_threshold(scenario(), x, m), (0.0625, 40)),
     ("simulate_population", lambda *a: s.simulate_population(*a).statuses.tobytes(),
      (300, 0.0625, 4)),
+    ("run_array-confirm", lambda c: _outcome(s.run_array(STATUSES, 3, c)), (False,)),
+    ("run_hypercube-confirm", lambda c: _outcome(s.run_hypercube(STATUSES, 2, 3, c)), (False,)),
     ("run_gibbs_gower", lambda p, seed: s.run_gibbs_gower(p, e.GibbsGowerPlan(8, 50), seed),
      (0.0625, 3)),
     ("monte_carlo", lambda p, n, reps, seed, workers: s.monte_carlo(
@@ -207,6 +238,8 @@ NUMPY_CALLS = [
 
 
 def _numpy(x):
+    if isinstance(x, bool):
+        return np.bool_(x)
     if isinstance(x, float):
         assert float(np.float32(x)) == x
         return np.float32(x)
