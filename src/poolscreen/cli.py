@@ -243,12 +243,20 @@ def _make_design(args):
     kind = args.design
     if args.presume and kind != "array":
         raise ValueError("--presume applies to array designs only")
+    if args.pools is not None and kind != "gibbs-gower":
+        raise ValueError("--pools applies to gibbs-gower runs only")
+    if args.population is not None and kind == "gibbs-gower":
+        raise ValueError("--population applies to classification designs only; "
+                         "a gibbs-gower plan fixes its own sample count")
+    if args.dimension is not None and kind != "hypercube":
+        raise ValueError("--dimension applies to hypercube designs only")
     if kind == "dorfman":
         return designs.DorfmanDesign(args.pool_size)
     if kind == "array":
         return designs.ArrayDesign(args.pool_size, confirm_stage=not args.presume)
     if kind == "hypercube":
-        return designs.HypercubeDesign(args.pool_size, args.dimension)
+        dimension = 3 if args.dimension is None else args.dimension
+        return designs.HypercubeDesign(args.pool_size, dimension)
     if kind == "sterrett":
         return designs.SterrettDesign(args.pool_size)
     if kind == "gibbs-gower":
@@ -401,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--prevalence", type=float, required=True)
     p_sim.add_argument("--pool-size", type=int, required=True)
     p_sim.add_argument("--pools", type=int, help="pools per replication (gibbs-gower)")
-    p_sim.add_argument("--dimension", type=int, default=3)
+    p_sim.add_argument("--dimension", type=int, help="hypercube dimension (default 3)")
     p_sim.add_argument("--presume", action="store_true",
                        help="array variant 2: presume candidates positive, skip confirmation")
     p_sim.add_argument("--population", type=int, default=None)

@@ -29,7 +29,8 @@ relative discrepancy between the two.
 Each design class carries what callers dispatch on: ``cost(rho)``, its closed
 form, and ``block(statuses[reps, n]) -> (tests, presumed-positive mask, or None
 when every candidate is confirmed)``, the vectorized test count that the Monte
-Carlo harness runs; Dorfman and Sterrett add ``noisy_block``.
+Carlo harness runs; Dorfman and Sterrett add ``noisy_block`` on pre-drawn
+uniforms.  No kernel draws random numbers.
 """
 
 from __future__ import annotations
@@ -127,11 +128,11 @@ class DorfmanDesign:
         members = _unit_sizes(n, b)
         return len(members) + _units(statuses, b).any(axis=2) @ members, None
 
-    def noisy_block(self, statuses: np.ndarray, miss: np.ndarray, rng):
+    def noisy_block(self, statuses: np.ndarray, miss: np.ndarray, uniforms: np.ndarray):
         """(tests, detected mask, positive pools, missed pools) per replication;
         in individual testing the pool of one is the person's only test."""
         reps, n = statuses.shape
-        batches, pool_u, ind_hit, m = _noisy_draws(statuses, self.batch_size, miss, rng)
+        batches, pool_u, ind_hit, m = _noisy_units(statuses, self.batch_size, miss, uniforms)
         positive = batches.any(axis=2)
         flagged = positive & (pool_u[:, :, 0] >= miss[m])
         if self.batch_size == 1:
@@ -203,7 +204,7 @@ class SterrettDesign:
         tests = np.where(k == 0, 1, np.where(last == m - 1, k + m - 1, k + last + 2))
         return tests.sum(axis=1), None
 
-    def noisy_block(self, statuses: np.ndarray, miss: np.ndarray, rng):
+    def noisy_block(self, statuses: np.ndarray, miss: np.ndarray, uniforms: np.ndarray):
         """(tests, detected mask, positive pools, missed pools) per replication.
 
         Scans the positions of every batch at once.  A batch either needs a
@@ -212,7 +213,7 @@ class SterrettDesign:
         it positive without a test.
         """
         reps, n = statuses.shape
-        batches, pool_u, ind_hit, m = _noisy_draws(statuses, self.batch_size, miss, rng)
+        batches, pool_u, ind_hit, m = _noisy_units(statuses, self.batch_size, miss, uniforms)
         seg_positive = np.logical_or.accumulate(batches[:, :, ::-1], axis=2)[:, :, ::-1]
         detected = np.zeros(batches.shape, dtype=bool)
         tests, pools, missed = np.zeros((3, reps), dtype=np.int64)
@@ -609,21 +610,20 @@ def _grid_block(statuses: np.ndarray, b: int, d: int, confirm: bool):
     return np.full(reps, line_tests), cand
 
 
-def _noisy_draws(statuses: np.ndarray, b: int, miss: np.ndarray, rng):
+def _noisy_units(statuses: np.ndarray, b: int, miss: np.ndarray, uniforms: np.ndarray):
     """(batches, pool_u, individual hits, batch sizes) of a noisy run on
     statuses[reps, n] in consecutive batches of b.
 
-    Draws pool_u then ind_u, each of shape (reps, n).  A pool test on the
-    segment starting at person j reads pool_u[:, j] and misses a positive
-    segment of size k when it is below miss[k]; the individual test of
-    person j reads ind_u[:, j] and finds a positive unless it is below
-    miss[1].
+    uniforms[reps, 2, n] holds each replication's pool uniforms, then its
+    individual ones.  A pool test on the segment starting at person j reads
+    uniforms[:, 0, j] and misses a positive segment of size k when it is
+    below miss[k]; the individual test of person j reads uniforms[:, 1, j]
+    and finds a positive unless it is below miss[1].
     """
-    reps, n = statuses.shape
-    pool_u = _units(rng.random((reps, n)), b)
-    ind_u = _units(rng.random((reps, n)), b)
     batches = _units(statuses, b)
-    return batches, pool_u, batches & (ind_u >= miss[1]), _unit_sizes(n, b)
+    pool_u = _units(uniforms[:, 0], b)
+    ind_hit = batches & _units(uniforms[:, 1] >= miss[1], b)
+    return batches, pool_u, ind_hit, _unit_sizes(statuses.shape[1], b)
 
 
 # ---------------------------------------------------------------------------

@@ -610,6 +610,7 @@ def report_for_outcome(outcome: PoolTestOutcome) -> EstimationReport:
     (the truth being unknown); they are omitted when the estimate is 0 or 1,
     where the plug-in moments are degenerate.
     """
+    integer(outcome.num_pools, 1, "pool count", MAX_EXACT_POOL_COUNT)
     p_hat = gg_estimate(outcome)
     rate = outcome.positive_pools / outcome.num_pools
     saturated = outcome.positive_pools == outcome.num_pools

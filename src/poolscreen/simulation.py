@@ -9,23 +9,24 @@ is validated against.
 The test counting belongs to the designs: each design class of the designs
 module has one kernel, block, that counts the tests of a whole block of
 replications at once, and Dorfman and Sterrett designs have a noisy_block
-whose random draws follow a fixed layout (see designs._noisy_draws).  This
-module draws the populations, runs the kernels and aggregates; the public
+that reads pre-drawn uniforms (see designs._noisy_units).  This module draws
+the populations and the noise, runs the kernels and aggregates; the public
 run_* functions apply the same kernels to one population.  The literal
 one-pool-at-a-time procedures live in the test suite
 (tests/literal_procedures.py), which checks the kernels against them test
 for test.
 
 Reproducibility contract: replication r of a run with root seed s draws its
-randomness from a fixed block of a counter-based bit stream (Philox keyed by
-(s, block_index), BLOCK_REPS replications per block).  Results therefore
-depend only on (design, parameters, seed) - not on chunking, scheduling or
-the number of workers - and rerunning with the same seed is bit-identical.
+randomness from fixed blocks of counter-based bit streams (Philox keyed by
+(s, (stream, block_index)), BLOCK_REPS replications per block; stream 0
+holds the statuses, stream 1 the dilution noise).  Results therefore depend
+only on (design, parameters, seed) - not on chunking, scheduling or the
+number of workers - and rerunning with the same seed is bit-identical.
 Aggregation happens on per-replication arrays indexed by r, which makes it
 order-insensitive by construction.  Nor do results depend on row sub-chunks:
-to bound memory, a noise-free block (and a Gibbs-Gower population) is drawn
-and reduced a few rows at a time, and consecutive draws read the same stream
-in the same order as one whole draw would.
+to bound memory, every block (and a Gibbs-Gower population) is drawn and
+reduced a few rows at a time, and consecutive draws read each stream in the
+same order as one whole draw would.
 
 Pool membership is consecutive-block assignment; statuses are i.i.d., so any
 assignment rule yields the same distribution.  Populations that do not divide
@@ -73,14 +74,14 @@ __all__ = [
 #: each replication reads, i.e. it is part of the reproducibility contract.
 BLOCK_REPS = 4096
 
-# Bytes of uniforms drawn at once.  A noise-free block is drawn and reduced
-# in row sub-chunks of about this size, so its working set stays bounded
-# whatever the population size; the results do not depend on it.
+# Bytes of status uniforms drawn at once (a noisy block draws twice as many
+# noise uniforms alongside).  Blocks are drawn and reduced in row sub-chunks of
+# this size, so the working set is bounded whatever the population size.
 _DRAW_BYTES = 8 << 20
 
 
 def _block_rng(seed: int, block: int, stream: int = 0) -> np.random.Generator:
-    """Counter-based generator for one block of replications."""
+    """Counter-based generator for one block: stream 0 statuses, stream 1 noise."""
     return np.random.Generator(
         np.random.Philox(np.random.SeedSequence(seed, spawn_key=(stream, block)))
     )
@@ -318,23 +319,21 @@ def _monte_carlo_classification(design, p, n, reps, seed, noise, workers):
     def do_block(item):
         block, (lo, hi) = item
         rng = _block_rng(seed, block)
-        if noise is None:
-            for rows, statuses in _draw_rows(rng, lo, hi, n, p):
-                n_pos[rows] = statuses.sum(axis=1)
-                tests[rows], presumed = design.block(statuses)
-                if presumed is not None:
-                    # every positive is a candidate, so presuming adds no false negatives
-                    fp[rows] = (presumed & ~statuses).sum(axis=1)
-        else:
-            # the noise draws follow the whole block's statuses, so a noisy
-            # block is drawn whole: three (reps, n) draws
-            statuses = rng.random((hi - lo, n)) < p
-            n_pos[lo:hi] = statuses.sum(axis=1)
-            tests[lo:hi], detected, pool_pos[lo:hi], pool_missed[lo:hi] = design.noisy_block(
-                statuses, miss, rng
-            )
-            fn[lo:hi] = (statuses & ~detected).sum(axis=1)
-            fp[lo:hi] = (detected & ~statuses).sum(axis=1)
+        if noise is not None:
+            noise_rng = _block_rng(seed, block, stream=1)
+        for rows, statuses in _draw_rows(rng, lo, hi, n, p):
+            n_pos[rows] = statuses.sum(axis=1)
+            if noise is None:
+                tests[rows], positive = design.block(statuses)
+            else:
+                # row r reads its n pool uniforms, then its n individual ones
+                uniforms = noise_rng.random((len(statuses), 2, n))
+                tests[rows], positive, pool_pos[rows], pool_missed[rows] = design.noisy_block(
+                    statuses, miss, uniforms
+                )
+            if positive is not None:
+                fn[rows] = (statuses & ~positive).sum(axis=1)
+                fp[rows] = (positive & ~statuses).sum(axis=1)
 
     _run_blocks(do_block, reps, workers)
 

@@ -9,10 +9,10 @@ tests with a vectorized kernel, block, and the tests check those kernels
 against these loops; run() therefore dispatches on its own, never through
 block.
 
-The noisy walks read pre-drawn uniforms in the layout of
-poolscreen.designs._noisy_draws: a pool test on the segment starting at
-person j reads pool_u[j] and misses a positive segment of size k when it is
-below miss[k]; the individual test of person j reads ind_u[j].
+The noisy walks read a population's pre-drawn uniforms[2, n] in the layout
+of poolscreen.designs._noisy_units: a pool test on the segment starting at
+person j reads uniforms[0, j] and misses a positive segment of size k when
+it is below miss[k]; the individual test of person j reads uniforms[1, j].
 """
 
 import numpy as np
@@ -97,10 +97,11 @@ def run(design, statuses):
     raise ValueError(f"unsupported design {design!r}")
 
 
-def noisy_dorfman(statuses, b, miss, pool_u, ind_u):
+def noisy_dorfman(statuses, b, miss, uniforms):
     """(tests, detected mask, positive pools, missed pools) of one noisy
     Dorfman run; b == 1 tests each person once, as a pool of one."""
     statuses = np.asarray(statuses, dtype=bool)
+    pool_u, ind_u = uniforms
     n = len(statuses)
     tests = 0
     detected = np.zeros(n, dtype=bool)
@@ -124,12 +125,13 @@ def noisy_dorfman(statuses, b, miss, pool_u, ind_u):
     return tests, detected, positive_pools, missed_pools
 
 
-def noisy_sterrett(statuses, b, miss, pool_u, ind_u):
+def noisy_sterrett(statuses, b, miss, uniforms):
     """(tests, detected mask, positive pools, missed pools) of one noisy
     Sterrett run: a flagged pool is walked member by member until an
     individual test comes back positive, and the untested remainder is pooled
     again; a walk that reaches the last member infers it positive untested."""
     statuses = np.asarray(statuses, dtype=bool)
+    pool_u, ind_u = uniforms
     n = len(statuses)
     tests = 0
     detected = np.zeros(n, dtype=bool)

@@ -92,6 +92,15 @@ class TestEstimate:
         )
         assert code == 2
 
+    def test_too_many_pools_exit_2(self, capsys):
+        # the exact moments are summed over a support window that grows with the pool count
+        code, out, err = run_cli(
+            capsys, "estimate", "--pools", "100001", "--positive", "7", "--pool-size", "5"
+        )
+        assert code == 2
+        assert out == ""
+        assert "pool count" in err
+
     def test_plan_mode(self, capsys):
         code, out, _ = run_cli(
             capsys, "estimate", "--plan", "--prevalence-guess", "0.01",
@@ -190,6 +199,39 @@ class TestSimulate:
         assert code == 2
         assert out == ""
         assert "--presume" in err and "array" in err
+
+    FOREIGN_FLAGS = [
+        ("dorfman", ("--pools", "20")),
+        ("array", ("--pools", "20")),
+        ("hypercube", ("--pools", "20")),
+        ("sterrett", ("--pools", "20")),
+        ("gibbs-gower", ("--population", "64")),
+        ("dorfman", ("--dimension", "3")),
+        ("array", ("--dimension", "2")),
+        ("sterrett", ("--dimension", "3")),
+        ("gibbs-gower", ("--dimension", "3")),
+    ]
+
+    @pytest.mark.parametrize("design, flag", FOREIGN_FLAGS,
+                             ids=[design + flag[0] for design, flag in FOREIGN_FLAGS])
+    def test_flags_of_other_designs_rejected(self, capsys, design, flag):
+        # a flag that the design does not read would otherwise be ignored
+        base = {"gibbs-gower": ("--pools", "20")}.get(design, ("--population", "64"))
+        code, out, err = run_cli(
+            capsys, "simulate", "--design", design, "--pool-size", "4", "--prevalence", "0.05",
+            "--reps", "10", *base, *flag,
+        )
+        assert code == 2
+        assert out == ""
+        assert flag[0] in err
+
+    def test_hypercube_dimension(self, capsys):
+        args = ("simulate", "--design", "hypercube", "--pool-size", "3", "--prevalence", "0.05",
+                "--population", "81", "--reps", "10")
+        assert json.loads(run_cli(capsys, *args)[1])["design"]["dimension"] == 3
+        code, out, _ = run_cli(capsys, *args, "--dimension", "4")
+        assert code == 0
+        assert json.loads(out)["design"]["dimension"] == 4
 
     def test_presume_array(self, capsys):
         args = ("simulate", "--design", "array", "--pool-size", "4", "--prevalence", "0.05",

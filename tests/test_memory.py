@@ -9,6 +9,7 @@ import tracemalloc
 import pytest
 
 from poolscreen.designs import DorfmanDesign
+from poolscreen.dilution import DilutionScenario
 from poolscreen.estimation import gg_optimal_pool
 from poolscreen.simulation import monte_carlo
 
@@ -18,6 +19,9 @@ CALLS = [
     # a full 4096-replication block of 20,000 people: 655 MB of uniforms if
     # drawn whole
     ("monte_carlo", lambda: monte_carlo(DorfmanDesign(10), 0.01, 20_000, 4096, seed=1)),
+    # a noisy block also draws two noise uniforms per person and replication
+    ("monte_carlo-noisy", lambda: monte_carlo(DorfmanDesign(10), 0.01, 2_000, 4096, seed=1,
+                                              noise=DilutionScenario(1.0, 20.0, 5.0, 1, 0.01))),
     # an MSE sweep over 2000 pool sizes with support windows up to 1e5 wide
     ("gg_optimal_pool", lambda: gg_optimal_pool(0.01, fixed_tests=100_000, cap=2000)),
     # the target planner's first sweep: ~14,000 candidate pool sizes

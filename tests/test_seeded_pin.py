@@ -1,10 +1,12 @@
 """Seeded results pinned bit for bit.
 
-One SHA-256 over the repr of seeded Monte Carlo summaries and single-run
-outcomes, the way test_tables pins the tables.  A change that moves any
-seeded value - a kernel, the draw layout, the block keying, aggregation -
-fails here, even when the statistical gates elsewhere still pass.  Re-pin
-only when a change moves the random stream on purpose, and say why.
+SHA-256 digests over the repr of seeded Monte Carlo summaries and single-run
+outcomes, the way test_tables pins the tables: one over the noise-free runs
+and the run_* outcomes, one over the noisy runs, whose dilution noise reads
+its own stream.  A change that moves any seeded value - a kernel, the draw
+layout, the block keying, aggregation - fails here, even when the
+statistical gates elsewhere still pass.  Re-pin only the digest whose
+stream a change moves on purpose, and say why.
 """
 
 import hashlib
@@ -44,7 +46,8 @@ MONTE_CARLO_CASES = [
     (GibbsGowerPlan(8, 50), 0.03, None, BLOCK_REPS + 7, 14, False),
 ]
 
-SEEDED_SHA256 = "9fffeb3ad8d54d3bf2f575242437ad5358c7cdeca4507bd2efcff532177cd587"
+SEEDED_SHA256 = "613baf50a7c51f12673adfafc41e0877dc0a89697948823d6ee5d006b8b5ef9f"
+NOISY_SHA256 = "e23d0d5ae37ab9a6d37c3c44ffba1797e389ca4283d067280a3067b1e228834a"
 
 
 def _outcome(out):
@@ -52,12 +55,18 @@ def _outcome(out):
             out.classified_negative.tolist(), out.false_negatives, out.false_positives)
 
 
+def monte_carlo_results(noisy: bool) -> list:
+    return [
+        monte_carlo(design, p, n, reps, seed, noise=NOISE if noisy else None, workers=workers)
+        for design, p, n, reps, seed, case_noisy in MONTE_CARLO_CASES
+        if case_noisy == noisy
+        for workers in (1, 2)
+    ]
+
+
 def seeded_results() -> list:
-    results = []
-    for design, p, n, reps, seed, noisy in MONTE_CARLO_CASES:
-        for workers in (1, 2):
-            noise = NOISE if noisy else None
-            results.append(monte_carlo(design, p, n, reps, seed, noise=noise, workers=workers))
+    """The noise-free Monte Carlo summaries, then the run_* outcomes."""
+    results = monte_carlo_results(noisy=False)
     rng = np.random.default_rng(20)
     for n, p in ((1, 0.5), (37, 0.1), (100, 0.05), (200, 0.3)):
         statuses = rng.random(n) < p
@@ -72,6 +81,13 @@ def seeded_results() -> list:
     return results
 
 
+def digest(results: list) -> str:
+    return hashlib.sha256(repr(results).encode()).hexdigest()
+
+
 def test_seeded_results_are_pinned():
-    digest = hashlib.sha256(repr(seeded_results()).encode()).hexdigest()
-    assert digest == SEEDED_SHA256
+    assert digest(seeded_results()) == SEEDED_SHA256
+
+
+def test_noisy_results_are_pinned():
+    assert digest(monte_carlo_results(noisy=True)) == NOISY_SHA256

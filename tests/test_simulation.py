@@ -264,15 +264,11 @@ def sizes_and_miss_rates(draw):
 
 def assert_noisy_matches_literal(design, statuses, miss, seed):
     """noisy_block equals the literal noisy walk on the same uniforms, row by row."""
-    reps, n = statuses.shape
-    tests, detected, pools, missed = design.noisy_block(
-        statuses, miss, np.random.default_rng(seed)
-    )
-    rng = np.random.default_rng(seed)
-    pool_u, ind_u = rng.random((reps, n)), rng.random((reps, n))
+    uniforms = np.random.default_rng(seed).random((len(statuses), 2, statuses.shape[1]))
+    tests, detected, pools, missed = design.noisy_block(statuses, miss, uniforms)
     walk = literal.noisy_dorfman if isinstance(design, DorfmanDesign) else literal.noisy_sterrett
     for r, row in enumerate(statuses):
-        literal_out = walk(row, design.batch_size, miss, pool_u[r], ind_u[r])
+        literal_out = walk(row, design.batch_size, miss, uniforms[r])
         assert tests[r] == literal_out[0]
         assert np.array_equal(detected[r], literal_out[1])
         assert (pools[r], missed[r]) == literal_out[2:]
@@ -386,16 +382,21 @@ class TestMonteCarlo:
         assert monte_carlo(SterrettDesign(5), 0.05, np.int64(100), np.int32(300), seed=0) == expected
 
 
+NOISE = DilutionScenario(1.0, 20.0, 5.0, 1, 0.01)
+
+
 class TestRowSubChunks:
-    """Noise-free blocks and Gibbs-Gower populations are drawn and reduced a
-    few rows at a time; the sub-chunk size must not change any result.  At
-    these sizes the default budget takes every block whole."""
+    """Monte Carlo blocks, noisy or not, and Gibbs-Gower populations are
+    drawn and reduced a few rows at a time; the sub-chunk size must not
+    change any result.  At these sizes the default budget takes every block
+    whole."""
 
     # pool sizes that leave a ragged last pool of 61 people, and a ragged
-    # last block of 7 replications
-    DESIGNS = [DorfmanDesign(1), DorfmanDesign(7), SterrettDesign(6), ArrayDesign(4),
-               ArrayDesign(4, confirm_stage=False), HypercubeDesign(3, 3)]
-    NOISE = DilutionScenario(1.0, 20.0, 5.0, 1, 0.01)
+    # last block of 7 replications; (design, noise) pairs
+    RUNS = [(design, None) for design in (
+        DorfmanDesign(1), DorfmanDesign(7), SterrettDesign(6), ArrayDesign(4),
+        ArrayDesign(4, confirm_stage=False), HypercubeDesign(3, 3))]
+    RUNS += [(design, NOISE) for design in (DorfmanDesign(1), DorfmanDesign(7), SterrettDesign(6))]
     REPS = BLOCK_REPS + 7
 
     @staticmethod
@@ -403,20 +404,14 @@ class TestRowSubChunks:
         monkeypatch.setattr(simulation, "_DRAW_BYTES", 8 * n * rows)
 
     @pytest.mark.parametrize("workers", [1, 3])
-    @pytest.mark.parametrize("design", DESIGNS, ids=str)
-    def test_noise_free_runs(self, monkeypatch, design, workers):
-        whole = monte_carlo(design, 0.06, 61, self.REPS, seed=5, workers=workers)
+    @pytest.mark.parametrize("design, noise", RUNS,
+                             ids=[("noisy-" if noise else "") + str(d) for d, noise in RUNS])
+    def test_noise_free_runs(self, monkeypatch, design, noise, workers):
+        args = (design, 0.06, 61, self.REPS)
+        whole = monte_carlo(*args, seed=5, noise=noise, workers=workers)
         for rows in (1, 1000):
             self.rows_per_chunk(monkeypatch, rows, 61)
-            assert monte_carlo(design, 0.06, 61, self.REPS, seed=5, workers=workers) == whole
-
-    @pytest.mark.parametrize("workers", [1, 3])
-    @pytest.mark.parametrize("design", [DorfmanDesign(7), SterrettDesign(6)], ids=str)
-    def test_noisy_blocks_stay_whole(self, monkeypatch, design, workers):
-        args = (design, 0.06, 61, self.REPS)
-        whole = monte_carlo(*args, seed=5, noise=self.NOISE, workers=workers)
-        self.rows_per_chunk(monkeypatch, 1, 61)
-        assert monte_carlo(*args, seed=5, noise=self.NOISE, workers=workers) == whole
+            assert monte_carlo(*args, seed=5, noise=noise, workers=workers) == whole
 
     def test_gibbs_gower_draws(self, monkeypatch):
         plan = GibbsGowerPlan(40, 3001)

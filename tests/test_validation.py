@@ -121,6 +121,8 @@ BAD_CALLS = [
     ("rule_of_thumb-bool", lambda: e.estimation_rule_of_thumb(True), "prevalence guess"),
     ("dorfman_estimation_rmse-float", lambda: e.dorfman_estimation_rmse(0.05, 100.0), "num_tests"),
     ("report_for_plan-nan", lambda: e.report_for_plan(NAN, 5, 100), "prevalence"),
+    ("report_for_outcome-pools", lambda: e.report_for_outcome(e.PoolTestOutcome(100_001, 7, 5)),
+     "pool count"),
     # dilution
     ("DilutionScenario-concentration-nan", lambda: scenario(concentration=NAN), "concentration"),
     ("DilutionScenario-aliquot-str", lambda: scenario(aliquot_volume="1"), "aliquot_volume"),
