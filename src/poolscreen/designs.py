@@ -30,7 +30,9 @@ Each design class carries what callers dispatch on: ``cost(rho)``, its closed
 form, and ``block(statuses[reps, n]) -> (tests, presumed-positive mask, or None
 when every candidate is confirmed)``, the vectorized test count that the Monte
 Carlo harness runs; Dorfman and Sterrett add ``noisy_block`` on pre-drawn
-uniforms.  No kernel draws random numbers.
+uniforms.  No kernel draws random numbers.  The private ``_unit`` is the pool,
+batch or cluster size a kernel pads each row to whole multiples of, which the
+harness budgets its draws by.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import lambertw
 
 from ._validate import boolean, integer, positive_fraction, prob, real
 
@@ -75,6 +78,8 @@ __all__ = [
 DEFAULT_BATCH_CAP = 64
 
 _INV_E = math.exp(-1.0)
+
+_STERRETT_MAX_BATCH = 4096  # the recursion is quadratic in the batch size
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +120,8 @@ class DorfmanDesign:
     def kind(self) -> str:
         return "individual" if self.batch_size == 1 else "dorfman"
 
+    _unit = property(lambda self: self.batch_size)
+
     def cost(self, rho: float) -> float:
         return dorfman_expected_tests_per_person(rho, self.batch_size)
 
@@ -153,6 +160,8 @@ class ArrayDesign:
         object.__setattr__(self, "side", integer(self.side, 2, "array side"))
         object.__setattr__(self, "confirm_stage", boolean(self.confirm_stage, "confirm_stage"))
 
+    _unit = property(lambda self: self.side**2)
+
     def cost(self, rho: float) -> float:
         return array_expected_tests_per_person(rho, self.side, self.confirm_stage)
 
@@ -170,6 +179,8 @@ class HypercubeDesign:
         object.__setattr__(self, "side", integer(self.side, 2, "hypercube side"))
         object.__setattr__(self, "dimension", integer(self.dimension, 2, "hypercube dimension"))
 
+    _unit = property(lambda self: self.side**self.dimension)
+
     def cost(self, rho: float) -> float:
         return hypercube_expected_tests_per_person(rho, self.side, self.dimension)
 
@@ -184,6 +195,8 @@ class SterrettDesign:
 
     def __post_init__(self):
         object.__setattr__(self, "batch_size", integer(self.batch_size, 2, "batch size"))
+
+    _unit = property(lambda self: self.batch_size)
 
     def cost(self, rho: float) -> float:
         return sterrett_expected_tests_per_batch(rho, self.batch_size) / self.batch_size
@@ -258,47 +271,28 @@ class DesignEvaluation:
 def lambert_w0(x: float) -> float:
     """Principal branch of the Lambert W function.
 
-    Returns w >= -1 with w * exp(w) == x, for x >= -1/e.  Halley iteration
-    from a branch-point / series / asymptotic initial guess; converges to
-    relative residual below 1e-12 over the whole domain.
+    Returns w >= -1 with w * exp(w) == x, for x >= -1/e (scipy.special.lambertw,
+    whose relative residual stays below 1e-12 over the whole domain).
     """
     x = real(x, "x", minimum=-math.inf)
-    if x < -_INV_E:
-        # allow values a rounding error below the branch point
-        if x > -_INV_E * (1.0 + 1e-12):
-            return -1.0
-        raise ValueError(f"lambert_w0 requires x >= -1/e, got {x}")
-    if x == 0.0:
-        return 0.0
-
-    if x < -0.25:
-        # expansion around the branch point x = -1/e
-        p = math.sqrt(2.0 * (1.0 + math.e * x))
-        w = -1.0 + p - p * p / 3.0 + (11.0 / 72.0) * p ** 3
-    elif x < 1.0:
-        # series around 0
-        w = x * (1.0 - x + 1.5 * x * x)
-    else:
-        l1 = math.log(x)
-        l2 = math.log(l1) if l1 > 1.0 else 0.0
-        w = l1 - l2 + (l2 / l1 if l1 > 1.0 else 0.0)
-
-    if w == -1.0:  # branch point hit exactly by the series start
+    if x <= -_INV_E:
+        # allow values a rounding error below the branch point, where lambertw
+        # returns nan
+        if x < -_INV_E * (1.0 + 1e-12):
+            raise ValueError(f"lambert_w0 requires x >= -1/e, got {x}")
         return -1.0
-    for _ in range(80):
-        ew = math.exp(w)
-        f = w * ew - x
-        # Halley step; plain Newton if its denominator degenerates near w = -1
-        denom = ew * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0) if w != -1.0 else 0.0
-        if denom == 0.0:
-            denom = ew * (w + 1.0)
-            if denom == 0.0:
-                break
-        dw = f / denom
-        w -= dw
-        if abs(dw) <= 1e-16 * (1.0 + abs(w)):
-            break
-    return w
+    return float(lambertw(x).real)
+
+
+# ---------------------------------------------------------------------------
+# the size search every optimizer runs
+# ---------------------------------------------------------------------------
+
+def _best_size(cost, cap: int, what: str) -> int:
+    """Smallest size in 2..cap at which cost(size) is least, by exhaustive search."""
+    if cap < 2:
+        raise ValueError(f"constraints leave no {what} of 2 or more to search (cap {cap})")
+    return min(range(2, cap + 1), key=cost)
 
 
 # ---------------------------------------------------------------------------
@@ -345,14 +339,9 @@ def dorfman_optimal_batch(rho: float, constraints: ConstraintSet | None = None) 
     """
     rho = prob(rho, open_zero=True, open_one=True)
     cap = (constraints or ConstraintSet()).pool_cap()
-    if cap < 2:
-        raise ValueError("batch-size cap below 2 leaves nothing to search")
-    best_b, best_cost = 2, dorfman_expected_tests_per_person(rho, 2)
-    for b in range(3, cap + 1):
-        cost = dorfman_expected_tests_per_person(rho, b)
-        if cost < best_cost:
-            best_b, best_cost = b, cost
-    return DorfmanDesign(best_b)
+    return DorfmanDesign(
+        _best_size(lambda b: dorfman_expected_tests_per_person(rho, b), cap, "batch size")
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -395,11 +384,9 @@ def array_optimal_side(rho: float, constraints: ConstraintSet | None = None) -> 
     cap = cons.pool_cap()
     if cons.max_cluster_size is not None:
         cap = min(cap, int(math.isqrt(cons.max_cluster_size)))
-    if cap < 2:
-        raise ValueError("constraints leave no feasible array side")
-    costs = [(array_expected_tests_per_person(rho, b), b) for b in range(2, cap + 1)]
-    _, best = min(costs)
-    return ArrayDesign(best)
+    return ArrayDesign(
+        _best_size(lambda b: array_expected_tests_per_person(rho, b), cap, "array side")
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -449,11 +436,10 @@ def hypercube_optimal_side(
     cap = cons.pool_cap()
     if cons.max_cluster_size is not None:
         cap = min(cap, int(cons.max_cluster_size ** (1.0 / d) + 1e-9))
-    if cap < 2:
-        raise ValueError("constraints leave no feasible hypercube side")
-    costs = [(hypercube_expected_tests_per_person(rho, b, d), b) for b in range(2, cap + 1)]
-    _, best = min(costs)
-    return HypercubeDesign(best, d)
+    side = _best_size(
+        lambda b: hypercube_expected_tests_per_person(rho, b, d), cap, "hypercube side"
+    )
+    return HypercubeDesign(side, d)
 
 
 def independence_gap(rho: float, b: int, d: int = 2) -> float:
@@ -490,7 +476,12 @@ def sterrett_expected_tests_per_batch(rho: float, b: int) -> float:
     (sterrett_expected_tests_enumerated) to machine precision.
     """
     rho = prob(rho)
-    b = integer(b, 1, "batch size", maximum=4096)  # the recursion is quadratic in b
+    b = integer(b, 1, "batch size", maximum=_STERRETT_MAX_BATCH)
+    return _sterrett_costs(rho, b)[b]
+
+
+def _sterrett_costs(rho: float, b: int) -> list[float]:
+    """f(0..b) of the Sterrett recursion, for checked rho and b; O(b^2)."""
     q = 1.0 - rho
     f = [0.0] * (b + 1)
     for m in range(1, b + 1):
@@ -501,7 +492,7 @@ def sterrett_expected_tests_per_batch(rho: float, b: int) -> float:
             qj *= q
         total += qj * rho * (m - 1)
         f[m] = total
-    return f[b]
+    return f
 
 
 def sterrett_tests_for_pattern(pattern) -> int:
@@ -549,16 +540,18 @@ def sterrett_expected_tests_enumerated(rho: float, b: int) -> float:
 
 
 def sterrett_optimal_batch(rho: float, constraints: ConstraintSet | None = None) -> SterrettDesign:
-    """Batch size minimizing Sterrett tests per person, by exhaustive search."""
+    """Batch size minimizing Sterrett tests per person, by exhaustive search.
+
+    One run of the recursion up to the cap prices every size, so the search
+    is O(cap^2); caps above 4096, the recursion's bound, are rejected.
+    """
     rho = prob(rho, open_zero=True, open_one=True)
     cap = (constraints or ConstraintSet()).pool_cap()
-    if cap < 2:
-        raise ValueError("batch-size cap below 2 leaves nothing to search")
-    best = min(
-        range(2, cap + 1),
-        key=lambda b: (sterrett_expected_tests_per_batch(rho, b) / b, b),
-    )
-    return SterrettDesign(best)
+    if cap > _STERRETT_MAX_BATCH:
+        raise ValueError(f"Sterrett pool cap {cap} is above the recursion's bound, "
+                         f"{_STERRETT_MAX_BATCH}")
+    f = _sterrett_costs(rho, cap)
+    return SterrettDesign(_best_size(lambda b: f[b] / b, cap, "batch size"))
 
 
 # ---------------------------------------------------------------------------
@@ -683,8 +676,7 @@ def best_classification_design(
 
 
 def _capped_dorfman_cost(rho: float, cap: int) -> float:
-    best = dorfman_optimal_batch(rho, ConstraintSet(max_pool_size=cap))
-    return dorfman_expected_tests_per_person(rho, best.batch_size)
+    return dorfman_optimal_batch(rho, ConstraintSet(max_pool_size=cap)).cost(rho)
 
 
 def classification_crossovers(

@@ -594,7 +594,7 @@ def dorfman_estimation_rmse(p: float, num_tests: int) -> float:
     except ValueError:
         cap = designs.DEFAULT_BATCH_CAP  # no interior optimum at high prevalence
     pooled = designs.dorfman_optimal_batch(p, designs.ConstraintSet(max_pool_size=cap))
-    cost = min(1.0, designs.dorfman_expected_tests_per_person(p, pooled.batch_size))
+    cost = min(1.0, pooled.cost(p))
     n_eff = num_tests / cost
     return math.sqrt(p * (1.0 - p) / n_eff)
 

@@ -130,11 +130,12 @@ class MonteCarloSummary:
     pool_miss_rate: float | None = None  # noise runs: observed pooled miss rate
 
 
-def _draw_rows(rng: np.random.Generator, lo: int, hi: int, n: int, p: float):
+def _draw_rows(rng: np.random.Generator, lo: int, hi: int, n: int, p: float, unit: int = 1):
     """Yield (rows, statuses) for rows lo..hi-1 of n Bernoulli(p) statuses each,
-    in sub-chunks of at most _DRAW_BYTES of uniforms (at least one row).  The
+    in sub-chunks of at most _DRAW_BYTES of uniforms (at least one row), counted
+    on rows padded to whole units of `unit` people as the kernels pad them.  The
     chunks read rng's stream in the same order as one rng.random((hi - lo, n))."""
-    step = max(1, _DRAW_BYTES // (8 * n))
+    step = max(1, _DRAW_BYTES // (8 * -(-n // unit) * unit))
     for a in range(lo, hi, step):
         z = min(a + step, hi)
         yield slice(a, z), rng.random((z - a, n)) < p
@@ -321,7 +322,7 @@ def _monte_carlo_classification(design, p, n, reps, seed, noise, workers):
         rng = _block_rng(seed, block)
         if noise is not None:
             noise_rng = _block_rng(seed, block, stream=1)
-        for rows, statuses in _draw_rows(rng, lo, hi, n, p):
+        for rows, statuses in _draw_rows(rng, lo, hi, n, p, design._unit):
             n_pos[rows] = statuses.sum(axis=1)
             if noise is None:
                 tests[rows], positive = design.block(statuses)

@@ -86,13 +86,11 @@ def _exec_classification() -> Table:
     rows = []
     for label, lo, hi in _CLASSIFICATION_BANDS:
         mid = hi / 2.0 if lo == 0.0 else (lo + hi) / 2.0
-        b = designs.dorfman_optimal_batch(mid, cons).batch_size
-        gain_hi = (
-            float(b)  # zero-prevalence limit: only the 1/b pool tests remain
-            if lo == 0.0
-            else 1.0 / designs.dorfman_expected_tests_per_person(lo, b)
-        )
-        gain_lo = 1.0 / designs.dorfman_expected_tests_per_person(hi, b)
+        design = designs.dorfman_optimal_batch(mid, cons)
+        b = design.batch_size
+        # zero-prevalence limit: only the 1/b pool tests remain
+        gain_hi = float(b) if lo == 0.0 else 1.0 / design.cost(lo)
+        gain_lo = 1.0 / design.cost(hi)
         rows.append([label, b, f"{gain_lo:.2g}-{gain_hi:.2g}"])
     return Table(
         "exec-classification",
@@ -102,31 +100,22 @@ def _exec_classification() -> Table:
 
 
 _EXAMPLE_PREVALENCES = (0.3, 0.03, 0.003)
+_EXAMPLE_OPTIMIZERS = (
+    ("simple Dorfman", designs.dorfman_optimal_batch, "batch_size"),
+    ("Sterrett testing", designs.sterrett_optimal_batch, "batch_size"),
+    ("batched array testing", designs.array_optimal_side, "side"),
+)
 
 
 def _examples_classification() -> Table:
     rows = []
     for rho in _EXAMPLE_PREVALENCES:
-        dorf = designs.dorfman_optimal_batch(rho)
-        rows.append(
-            [
-                rho,
-                "simple Dorfman",
-                dorf.batch_size,
-                1.0 / designs.dorfman_expected_tests_per_person(rho, dorf.batch_size),
-            ]
-        )
-        ster = designs.sterrett_optimal_batch(rho)
-        per_person = (
-            designs.sterrett_expected_tests_per_batch(rho, ster.batch_size) / ster.batch_size
-        )
-        rows.append([rho, "Sterrett testing", ster.batch_size, 1.0 / per_person])
-        arr = designs.array_optimal_side(rho)
-        cost = designs.array_expected_tests_per_person(rho, arr.side)
-        if cost >= 1.0:
-            rows.append([rho, "batched array testing", None, None])
-        else:
-            rows.append([rho, "batched array testing", arr.side, 1.0 / cost])
+        for label, optimize, size in _EXAMPLE_OPTIMIZERS:
+            ev = designs.evaluate_design(optimize(rho), rho)
+            if ev.expected_tests_per_person >= 1.0:  # no better than individual testing
+                rows.append([rho, label, None, None])
+            else:
+                rows.append([rho, label, getattr(ev.design, size), ev.individuals_per_test])
     return Table(
         "examples-classification",
         ["prevalence", "architecture", "optimal batch size", "individuals tested per test"],

@@ -46,6 +46,14 @@ class TestDesign:
         assert code == 2
         assert "error" in err
 
+    def test_sterrett_cap_above_recursion_bound_exit_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "design", "--prevalence", "0.01", "--cap", "5000", "--candidates", "sterrett"
+        )
+        assert code == 2
+        assert out == ""
+        assert "5000" in err
+
     def test_csv_format_rejected(self, capsys):
         # design, estimate and dilution print text or JSON only
         code, out, _ = run_cli(capsys, "design", "--prevalence", "0.02", "--format", "csv")

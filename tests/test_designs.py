@@ -286,6 +286,98 @@ class TestSterrett:
         with pytest.raises(ValueError):
             sterrett_expected_tests_enumerated(0.1, 21)
 
+    def test_optimizer_rejects_cap_above_recursion_bound(self):
+        # raised before pricing any size: 4096 alone takes about a second
+        with pytest.raises(ValueError, match="5000"):
+            sterrett_optimal_batch(0.01, ConstraintSet(max_pool_size=5000))
+        assert sterrett_optimal_batch(0.3, ConstraintSet(max_pool_size=4096)).batch_size == 2
+
+
+# ---------------------------------------------------------------------------
+# every optimizer against its public cost function
+# ---------------------------------------------------------------------------
+
+def _smallest_argmin(cost, sizes):
+    costs = [cost(b) for b in sizes]
+    return sizes[costs.index(min(costs))]
+
+
+def _largest_side(cluster, d):
+    side = 1
+    while (side + 1) ** d <= cluster:
+        side += 1
+    return side
+
+
+# log-uniform, so that low prevalences put the optimum at the cap often
+PREVALENCES = st.floats(min_value=-4.0, max_value=math.log10(0.6)).map(lambda x: 10.0**x)
+CLUSTER_CAPS = st.none() | st.integers(min_value=1, max_value=20_000)
+
+
+class TestOptimizersMinimizeTheirCost:
+    """Each optimizer returns the smallest size reaching the minimum of its
+    public cost function over 2..cap, and rejects an empty range."""
+
+    @settings(deadline=None, max_examples=100)
+    @given(PREVALENCES, st.integers(min_value=1, max_value=200))
+    def test_dorfman(self, rho, cap):
+        cons = ConstraintSet(max_pool_size=cap)
+        if cap < 2:
+            with pytest.raises(ValueError, match="batch size"):
+                dorfman_optimal_batch(rho, cons)
+            return
+        expected = _smallest_argmin(
+            lambda b: dorfman_expected_tests_per_person(rho, b), range(2, cap + 1)
+        )
+        assert dorfman_optimal_batch(rho, cons) == DorfmanDesign(expected)
+
+    @settings(deadline=None, max_examples=100)
+    @given(PREVALENCES, st.integers(min_value=1, max_value=200), CLUSTER_CAPS)
+    def test_array(self, rho, cap, cluster):
+        cons = ConstraintSet(max_pool_size=cap, max_cluster_size=cluster)
+        top = cap if cluster is None else min(cap, _largest_side(cluster, 2))
+        if top < 2:
+            with pytest.raises(ValueError, match="array side"):
+                array_optimal_side(rho, cons)
+            return
+        expected = _smallest_argmin(
+            lambda b: array_expected_tests_per_person(rho, b), range(2, top + 1)
+        )
+        assert array_optimal_side(rho, cons) == ArrayDesign(expected)
+
+    @settings(deadline=None, max_examples=100)
+    @given(
+        PREVALENCES,
+        st.integers(min_value=1, max_value=200),
+        CLUSTER_CAPS,
+        st.integers(min_value=2, max_value=5),
+    )
+    def test_hypercube(self, rho, cap, cluster, d):
+        cons = ConstraintSet(max_pool_size=cap, max_cluster_size=cluster)
+        top = cap if cluster is None else min(cap, _largest_side(cluster, d))
+        if top < 2:
+            with pytest.raises(ValueError, match="hypercube side"):
+                designs.hypercube_optimal_side(rho, d, cons)
+            return
+        expected = _smallest_argmin(
+            lambda b: hypercube_expected_tests_per_person(rho, b, d), range(2, top + 1)
+        )
+        assert designs.hypercube_optimal_side(rho, d, cons) == HypercubeDesign(expected, d)
+
+    @settings(deadline=None, max_examples=15)
+    @given(PREVALENCES, st.integers(min_value=1, max_value=300))
+    def test_sterrett(self, rho, cap):
+        # the reference prices each size with its own recursion: cubic in the cap
+        cons = ConstraintSet(max_pool_size=cap)
+        if cap < 2:
+            with pytest.raises(ValueError, match="batch size"):
+                sterrett_optimal_batch(rho, cons)
+            return
+        expected = _smallest_argmin(
+            lambda b: sterrett_expected_tests_per_batch(rho, b) / b, range(2, cap + 1)
+        )
+        assert sterrett_optimal_batch(rho, cons) == SterrettDesign(expected)
+
 
 # ---------------------------------------------------------------------------
 # cross-design comparison

@@ -8,7 +8,7 @@ import tracemalloc
 
 import pytest
 
-from poolscreen.designs import DorfmanDesign
+from poolscreen.designs import DorfmanDesign, HypercubeDesign
 from poolscreen.dilution import DilutionScenario
 from poolscreen.estimation import gg_optimal_pool
 from poolscreen.simulation import monte_carlo
@@ -22,6 +22,9 @@ CALLS = [
     # a noisy block also draws two noise uniforms per person and replication
     ("monte_carlo-noisy", lambda: monte_carlo(DorfmanDesign(10), 0.01, 2_000, 4096, seed=1,
                                               noise=DilutionScenario(1.0, 20.0, 5.0, 1, 0.01))),
+    # 100 people in one padded 30x30x30 cluster: the kernel works on rows of
+    # 27,000 cells, so draws are budgeted by the padded width
+    ("monte_carlo-padded", lambda: monte_carlo(HypercubeDesign(30, 3), 0.01, 100, 4096, seed=1)),
     # an MSE sweep over 2000 pool sizes with support windows up to 1e5 wide
     ("gg_optimal_pool", lambda: gg_optimal_pool(0.01, fixed_tests=100_000, cap=2000)),
     # the target planner's first sweep: ~14,000 candidate pool sizes
