@@ -27,7 +27,6 @@ from .designs import (
     hypercube_optimal_side,
     independence_gap,
     lambert_w0,
-    sterrett_expected_tests_enumerated,
     sterrett_expected_tests_per_batch,
     sterrett_optimal_batch,
 )
@@ -61,19 +60,7 @@ from .estimation import (
     report_for_outcome,
     report_for_plan,
 )
-from .simulation import (
-    MonteCarloSummary,
-    PopulationSample,
-    RunOutcome,
-    monte_carlo,
-    run_array,
-    run_dorfman,
-    run_gibbs_gower,
-    run_hypercube,
-    run_sterrett,
-    simulate_particle_miss_rate,
-    simulate_population,
-)
+from .simulation import MonteCarloSummary, monte_carlo, simulate_particle_miss_rate
 from .tables import TABLE_IDS, Table, build_table
 
 __version__ = "0.1.0"

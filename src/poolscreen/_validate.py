@@ -1,4 +1,5 @@
-"""Argument checks shared by every public entry point, and the pool formula.
+"""Argument checks shared by every public entry point, the pool formula, and
+exp with inf on overflow.
 
 Each check returns its argument as a plain float, int or bool, or raises
 ValueError naming it.  Strings, bool, NaN and infinities are rejected where
@@ -73,3 +74,11 @@ def boolean(x, name: str) -> bool:
 def positive_fraction(p: float, b: int) -> float:
     """P(a pool of b holds at least one positive) = 1 - (1-p)^b, for checked p, b."""
     return 1.0 if p == 1.0 else -math.expm1(b * math.log1p(-p))
+
+
+def exp_or_inf(x: float) -> float:
+    """exp(x), or inf where it overflows."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf

@@ -11,8 +11,8 @@ Schemes covered:
 * Sterrett testing: like Dorfman, but members of a positive pool are tested
   one at a time; after the first positive individual is found the untested
   remainder is re-pooled and the procedure restarts on it.  No simple closed
-  form; an exact recursion (and a brute-force pattern enumeration used as an
-  oracle in the tests) is provided.
+  form; an exact recursion is provided (the tests check it against a
+  brute-force pattern enumeration).
 * Array testing: a cluster of b*b samples is laid out on a grid, every row and
   every column is pooled, and cells whose row and column both test positive
   are either retested individually (confirm stage) or presumed positive.
@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import lambertw
 
-from ._validate import boolean, integer, positive_fraction, prob, real
+from ._validate import boolean, exp_or_inf, integer, positive_fraction, prob, real
 
 __all__ = [
     "ConstraintSet",
@@ -65,7 +65,6 @@ __all__ = [
     "hypercube_optimal_side",
     "independence_gap",
     "sterrett_expected_tests_per_batch",
-    "sterrett_expected_tests_enumerated",
     "sterrett_optimal_batch",
     "evaluate_design",
     "best_classification_design",
@@ -396,15 +395,21 @@ def array_optimal_side(rho: float, constraints: ConstraintSet | None = None) -> 
 def hypercube_expected_tests_per_person(rho: float, b: int, d: int) -> float:
     """Approximate expected tests per person for d-dimensional hypercube testing.
 
-    d/b + (1 - (1-rho)^b)^d * b^(d(d-2)).  For d == 2 this is exactly the
-    array formula.  Like the array formula it rests on an independence
-    approximation, which for d >= 3 degrades quickly as prevalence grows;
-    see independence_gap.
+    d/b + (1 - (1-rho)^b)^d * b^(d(d-2)), or inf where that overflows.  For
+    d == 2 this is the array formula.  Like the array formula it rests on an
+    independence approximation, which for d >= 3 degrades quickly as
+    prevalence grows; see independence_gap.
     """
     rho = prob(rho)
     b = integer(b, 2, "hypercube side")
     d = integer(d, 2, "hypercube dimension")
-    return d / b + positive_fraction(rho, b) ** d * float(b) ** (d * (d - 2))
+    f = positive_fraction(rho, b)
+    try:
+        return d / b + f**d * float(b) ** (d * (d - 2))
+    except OverflowError:  # b^(d(d-2)) leaves the double range: take logs
+        if f == 0.0:
+            return d / b
+        return d / b + exp_or_inf(d * math.log(f) + d * (d - 2) * math.log(b))
 
 
 def hypercube_expected_tests_exact(rho: float, b: int, d: int) -> float:
@@ -435,18 +440,28 @@ def hypercube_optimal_side(
     cons = constraints or ConstraintSet()
     cap = cons.pool_cap()
     if cons.max_cluster_size is not None:
-        cap = min(cap, int(cons.max_cluster_size ** (1.0 / d) + 1e-9))
+        cap = min(cap, _integer_root(cons.max_cluster_size, d))
     side = _best_size(
         lambda b: hypercube_expected_tests_per_person(rho, b, d), cap, "hypercube side"
     )
     return HypercubeDesign(side, d)
 
 
+def _integer_root(n: int, d: int) -> int:
+    """Largest integer r with r**d <= n, for n >= 1, by bisection on integers."""
+    lo, hi = 1, 1 << (n.bit_length() // d + 1)  # lo**d <= n < hi**d
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if mid**d <= n else (lo, mid)
+    return lo
+
+
 def independence_gap(rho: float, b: int, d: int = 2) -> float:
     """Relative error of the approximate array/hypercube cost.
 
     (exact - approximate) / approximate; positive means a simulation of the
-    real procedure uses more tests than the approximation predicts.
+    real procedure uses more tests than the approximation predicts.  Where
+    the approximation overflows to inf the gap is its limit, -1.
     """
     if integer(d, 2, "hypercube dimension") == 2:
         approx = array_expected_tests_per_person(rho, b, confirm_stage=True)
@@ -454,6 +469,8 @@ def independence_gap(rho: float, b: int, d: int = 2) -> float:
     else:
         approx = hypercube_expected_tests_per_person(rho, b, d)
         exact = hypercube_expected_tests_exact(rho, b, d)
+    if approx == math.inf:
+        return -1.0
     return (exact - approx) / approx
 
 
@@ -472,8 +489,8 @@ def sterrett_expected_tests_per_batch(rho: float, b: int) -> float:
 
         f(m) = 1 + sum_{j=1..m-1} q^(j-1) rho (j + f(m-j)) + q^(m-1) rho (m-1)
 
-    Agrees with brute-force enumeration of all 2^b infection patterns
-    (sterrett_expected_tests_enumerated) to machine precision.
+    Agrees to machine precision with brute-force enumeration of all 2^b
+    infection patterns, the oracle in tests/literal_procedures.py.
     """
     rho = prob(rho)
     b = integer(b, 1, "batch size", maximum=_STERRETT_MAX_BATCH)
@@ -493,50 +510,6 @@ def _sterrett_costs(rho: float, b: int) -> list[float]:
         total += qj * rho * (m - 1)
         f[m] = total
     return f
-
-
-def sterrett_tests_for_pattern(pattern) -> int:
-    """Tests used by the Sterrett procedure on a fixed infection pattern."""
-    pattern = list(pattern)
-    tests = 0
-    start = 0
-    n = len(pattern)
-    while start < n:
-        segment = pattern[start:]
-        m = len(segment)
-        tests += 1  # pooled test on the current segment
-        if not any(segment):
-            break
-        j = 0
-        while True:
-            if j == m - 1:
-                # everyone before tested negative in a positive pool:
-                # the last individual is positive by inference
-                start = n
-                break
-            tests += 1
-            if segment[j]:
-                start += j + 1
-                break
-            j += 1
-    return tests
-
-
-def sterrett_expected_tests_enumerated(rho: float, b: int) -> float:
-    """Brute-force oracle: exact Sterrett expectation by enumerating 2^b patterns.
-
-    Bounded at b <= 20 (about a million patterns); use the recursion for
-    anything larger.
-    """
-    rho = prob(rho)
-    b = integer(b, 1, "batch size", maximum=20)
-    q = 1.0 - rho
-    total = 0.0
-    for bits in range(1 << b):
-        pattern = [(bits >> i) & 1 == 1 for i in range(b)]
-        k = sum(pattern)
-        total += rho ** k * q ** (b - k) * sterrett_tests_for_pattern(pattern)
-    return total
 
 
 def sterrett_optimal_batch(rho: float, constraints: ConstraintSet | None = None) -> SterrettDesign:

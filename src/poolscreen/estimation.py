@@ -42,7 +42,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from . import designs
-from ._validate import integer, positive_fraction, prob, real
+from ._validate import exp_or_inf, integer, positive_fraction, prob, real
 
 __all__ = [
     "InfeasibleDesignError",
@@ -257,14 +257,6 @@ def _log_unit_variance(p: float, b: int) -> float:
     return math.log(positive_fraction(p, b)) - 2.0 * math.log(b) - (b - 2) * math.log1p(-p)
 
 
-def _exp(x: float) -> float:
-    """exp(x), or inf where it overflows."""
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
-
-
 def gg_asymptotic_variance(p: float, b: int, t: int) -> float:
     """Large-t (delta method) variance approximation of the estimator.
 
@@ -273,7 +265,7 @@ def gg_asymptotic_variance(p: float, b: int, t: int) -> float:
     p = prob(p, open_zero=True, open_one=True)
     b = integer(b, 1, "pool size")
     t = integer(t, 1, "pool count", 2**63)
-    return _exp(_log_unit_variance(p, b) - math.log(t))
+    return exp_or_inf(_log_unit_variance(p, b) - math.log(t))
 
 
 def gg_nrmse(p: float, b: int, t: int, method: str = "exact") -> float:
@@ -291,7 +283,7 @@ def gg_nrmse(p: float, b: int, t: int, method: str = "exact") -> float:
 # ---------------------------------------------------------------------------
 
 def _asymptotic_tests_real(p: float, b: int, target: float) -> float:
-    return _exp(_log_unit_variance(p, b) - 2.0 * (math.log(target) + math.log(p)))
+    return exp_or_inf(_log_unit_variance(p, b) - 2.0 * (math.log(target) + math.log(p)))
 
 
 def _infeasible(p: float, b: int, target: float) -> InfeasibleDesignError:

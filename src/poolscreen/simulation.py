@@ -10,8 +10,7 @@ The test counting belongs to the designs: each design class of the designs
 module has one kernel, block, that counts the tests of a whole block of
 replications at once, and Dorfman and Sterrett designs have a noisy_block
 that reads pre-drawn uniforms (see designs._noisy_units).  This module draws
-the populations and the noise, runs the kernels and aggregates; the public
-run_* functions apply the same kernels to one population.  The literal
+the populations and the noise, runs the kernels and aggregates.  The literal
 one-pool-at-a-time procedures live in the test suite
 (tests/literal_procedures.py), which checks the kernels against them test
 for test.
@@ -24,9 +23,9 @@ only on (design, parameters, seed) - not on chunking, scheduling or the
 number of workers - and rerunning with the same seed is bit-identical.
 Aggregation happens on per-replication arrays indexed by r, which makes it
 order-insensitive by construction.  Nor do results depend on row sub-chunks:
-to bound memory, every block (and a Gibbs-Gower population) is drawn and
-reduced a few rows at a time, and consecutive draws read each stream in the
-same order as one whole draw would.
+to bound memory, every block is drawn and reduced a few rows at a time, and
+consecutive draws read each stream in the same order as one whole draw
+would.
 
 Pool membership is consecutive-block assignment; statuses are i.i.d., so any
 assignment rule yields the same distribution.  Populations that do not divide
@@ -50,22 +49,13 @@ import numpy as np
 
 from . import dilution as _dilution
 from . import estimation as _estimation
-from ._validate import boolean, integer, prob
-from .designs import _CLASSIFICATION_DESIGNS, _grid_block
-from .designs import ArrayDesign, DorfmanDesign, HypercubeDesign, SterrettDesign
-from .estimation import GibbsGowerPlan, PoolTestOutcome
+from ._validate import integer, prob
+from .designs import _CLASSIFICATION_DESIGNS
+from .estimation import GibbsGowerPlan
 
 __all__ = [
     "BLOCK_REPS",
-    "PopulationSample",
-    "RunOutcome",
     "MonteCarloSummary",
-    "simulate_population",
-    "run_dorfman",
-    "run_array",
-    "run_hypercube",
-    "run_sterrett",
-    "run_gibbs_gower",
     "monte_carlo",
     "simulate_particle_miss_rate",
 ]
@@ -87,38 +77,6 @@ def _block_rng(seed: int, block: int, stream: int = 0) -> np.random.Generator:
     )
 
 
-# ---------------------------------------------------------------------------
-# populations and outcomes
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PopulationSample:
-    """Boolean infection statuses drawn i.i.d. Bernoulli(prevalence).
-
-    Regenerating with the same (size, prevalence, seed) via
-    simulate_population is bit-identical (PCG64 behind default_rng).
-    """
-
-    statuses: np.ndarray
-    prevalence: float
-    seed: int
-
-    def __post_init__(self):
-        if self.statuses.ndim != 1 or len(self.statuses) < 1:
-            raise ValueError("statuses must be a nonempty 1-d boolean array")
-
-
-@dataclass(frozen=True)
-class RunOutcome:
-    """Result of one architecture run on one population."""
-
-    tests_used: int
-    classified_positive: np.ndarray
-    classified_negative: np.ndarray
-    false_negatives: int
-    false_positives: int
-
-
 @dataclass(frozen=True)
 class MonteCarloSummary:
     reps: int
@@ -130,7 +88,7 @@ class MonteCarloSummary:
     pool_miss_rate: float | None = None  # noise runs: observed pooled miss rate
 
 
-def _draw_rows(rng: np.random.Generator, lo: int, hi: int, n: int, p: float, unit: int = 1):
+def _draw_rows(rng: np.random.Generator, lo: int, hi: int, n: int, p: float, unit: int):
     """Yield (rows, statuses) for rows lo..hi-1 of n Bernoulli(p) statuses each,
     in sub-chunks of at most _DRAW_BYTES of uniforms (at least one row), counted
     on rows padded to whole units of `unit` people as the kernels pad them.  The
@@ -139,87 +97,6 @@ def _draw_rows(rng: np.random.Generator, lo: int, hi: int, n: int, p: float, uni
     for a in range(lo, hi, step):
         z = min(a + step, hi)
         yield slice(a, z), rng.random((z - a, n)) < p
-
-
-def simulate_population(size: int, p: float, seed: int) -> PopulationSample:
-    size = integer(size, 1, "population size")
-    p = prob(p)
-    seed = integer(seed, 0, "seed")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    statuses = rng.random(size) < p
-    return PopulationSample(statuses, p, seed)
-
-
-# ---------------------------------------------------------------------------
-# single-population runners: the kernels applied to statuses[None]
-# ---------------------------------------------------------------------------
-
-def _run_once(pop, block) -> RunOutcome:
-    """Apply block: statuses[reps, n] -> (tests, presumed mask or None) to one population."""
-    statuses = np.asarray(pop.statuses if isinstance(pop, PopulationSample) else pop, dtype=bool)
-    if statuses.ndim != 1 or len(statuses) < 1:
-        raise ValueError("a population must be a nonempty 1-d array of statuses")
-    tests, presumed = block(statuses[None])
-    positive = statuses if presumed is None else presumed[0]
-    idx = np.arange(len(statuses))
-    return RunOutcome(
-        tests_used=int(tests[0]),
-        classified_positive=idx[positive],
-        classified_negative=idx[~positive],
-        false_negatives=int((statuses & ~positive).sum()),
-        false_positives=int((positive & ~statuses).sum()),
-    )
-
-
-def run_dorfman(pop, b: int) -> RunOutcome:
-    """Dorfman testing: one test per pool, b retests per positive pool.
-
-    The padded tail pool only retests its real members; b == 1 is individual
-    testing.  Classification is exact in the noise-free model.
-    """
-    return _run_once(pop, DorfmanDesign(b).block)
-
-
-def run_array(pop, b: int, confirm: bool = True) -> RunOutcome:
-    """Array testing on consecutive b*b clusters (padded with negatives).
-
-    confirm=True retests every row+column-positive cell individually;
-    confirm=False presumes those cells positive, which can only create false
-    positives.
-    """
-    return _run_once(pop, ArrayDesign(b, confirm_stage=confirm).block)
-
-
-def run_hypercube(pop, b: int, d: int, confirm: bool = True) -> RunOutcome:
-    """Hypercube testing: pools are the axis-parallel lines of side-b cubes.
-
-    confirm=False presumes the candidate cells positive, as in run_array.
-    """
-    design = HypercubeDesign(b, d)
-    confirm = boolean(confirm, "confirm")
-    return _run_once(
-        pop, lambda statuses: _grid_block(statuses, design.side, design.dimension, confirm)
-    )
-
-
-def run_sterrett(pop, b: int) -> RunOutcome:
-    """Sterrett testing: walk positive pools individual-by-individual,
-    re-pooling the untested remainder after each positive found."""
-    return _run_once(pop, SterrettDesign(b).block)
-
-
-def run_gibbs_gower(p: float, plan: GibbsGowerPlan, seed: int) -> float:
-    """Draw plan.num_pools pools of plan.pool_size i.i.d. samples; estimate p."""
-    p = prob(p)
-    seed = integer(seed, 0, "seed")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    positive = sum(
-        int(pools.any(axis=1).sum())
-        for _, pools in _draw_rows(rng, 0, plan.num_pools, plan.pool_size, p)
-    )
-    return _estimation.gg_estimate(
-        PoolTestOutcome(plan.num_pools, positive, plan.pool_size)
-    )
 
 
 # ---------------------------------------------------------------------------

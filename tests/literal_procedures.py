@@ -1,10 +1,10 @@
-"""Literal pooling procedures: the oracle for the simulation kernels.
+"""Literal pooling procedures: the oracles for the library's shortcuts.
 
-Each function runs one population through a design the way a lab would,
-one pool at a time, and returns (tests used, cells classified positive).
-Pools are consecutive blocks; a ragged tail block holds only its real
-members, and a ragged tail cluster is padded with known negatives that are
-never retested.  Each design class of poolscreen.designs counts the same
+Each classification function runs one population through a design the way
+a lab would, one pool at a time, and returns (tests used, cells classified
+positive).  Pools are consecutive blocks; a ragged tail block holds only its
+real members, and a ragged tail cluster is padded with known negatives that
+are never retested.  Each design class of poolscreen.designs counts the same
 tests with a vectorized kernel, block, and the tests check those kernels
 against these loops; run() therefore dispatches on its own, never through
 block.
@@ -13,17 +13,20 @@ The noisy walks read a population's pre-drawn uniforms[2, n] in the layout
 of poolscreen.designs._noisy_units: a pool test on the segment starting at
 person j reads uniforms[0, j] and misses a positive segment of size k when
 it is below miss[k]; the individual test of person j reads uniforms[1, j].
+
+Two more oracles check closed forms and shortcuts of the library:
+sterrett_expected_tests_enumerated prices every one of the 2^b infection
+patterns of a batch with the literal walk, against the Sterrett recursion;
+and gibbs_gower draws every sample of every pool of a Gibbs-Gower study,
+against the binomial shortcut the Monte Carlo harness draws positive-pool
+counts with.
 """
 
 import numpy as np
 
-from poolscreen.designs import (
-    ArrayDesign,
-    DorfmanDesign,
-    HypercubeDesign,
-    SterrettDesign,
-    sterrett_tests_for_pattern,
-)
+from poolscreen._validate import integer, prob
+from poolscreen.designs import ArrayDesign, DorfmanDesign, HypercubeDesign, SterrettDesign
+from poolscreen.estimation import PoolTestOutcome, gg_estimate
 
 
 def dorfman(statuses, b):
@@ -39,6 +42,49 @@ def dorfman(statuses, b):
         if members.any():
             tests += len(members)
     return tests, statuses.copy()
+
+
+def sterrett_tests_for_pattern(pattern) -> int:
+    """Tests used by the Sterrett procedure on a fixed infection pattern."""
+    pattern = list(pattern)
+    tests = 0
+    start = 0
+    n = len(pattern)
+    while start < n:
+        segment = pattern[start:]
+        m = len(segment)
+        tests += 1  # pooled test on the current segment
+        if not any(segment):
+            break
+        j = 0
+        while True:
+            if j == m - 1:
+                # everyone before tested negative in a positive pool:
+                # the last individual is positive by inference
+                start = n
+                break
+            tests += 1
+            if segment[j]:
+                start += j + 1
+                break
+            j += 1
+    return tests
+
+
+def sterrett_expected_tests_enumerated(rho: float, b: int) -> float:
+    """Exact Sterrett expectation by enumerating all 2^b infection patterns.
+
+    Bounded at b <= 20 (about a million patterns).
+    """
+    rho = prob(rho)
+    b = integer(b, 1, "batch size", maximum=20)
+    q = 1.0 - rho
+    total = 0.0
+    for bits in range(1 << b):
+        pattern = [(bits >> i) & 1 == 1 for i in range(b)]
+        k = sum(pattern)
+        total += rho ** k * q ** (b - k) * sterrett_tests_for_pattern(pattern)
+    return total
 
 
 def sterrett(statuses, b):
@@ -158,3 +204,11 @@ def noisy_sterrett(statuses, b, miss, uniforms):
             detected[found] = True
             start = found + 1
     return tests, detected, positive_pools, missed_pools
+
+
+def gibbs_gower(p, plan, seed):
+    """Gibbs-Gower estimate of p from one study: every sample of every pool
+    drawn i.i.d. Bernoulli(p), and each pool positive when any sample is."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    positive = int((rng.random((plan.num_pools, plan.pool_size)) < p).any(axis=1).sum())
+    return gg_estimate(PoolTestOutcome(plan.num_pools, positive, plan.pool_size))

@@ -24,6 +24,8 @@ import math
 import numpy as np
 import pytest
 
+from literal_procedures import sterrett_expected_tests_enumerated
+
 from poolscreen import (
     ArrayDesign,
     ConstraintSet,
@@ -47,7 +49,6 @@ from poolscreen import (
     monte_carlo,
     pool_positive_prob,
     pooled_false_negative_rate,
-    sterrett_expected_tests_enumerated,
     sterrett_expected_tests_per_batch,
 )
 from poolscreen.dilution import DilutionScenario

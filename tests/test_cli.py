@@ -54,6 +54,15 @@ class TestDesign:
         assert out == ""
         assert "5000" in err
 
+    def test_hypercube_cost_overflow_gives_individual_testing(self, capsys):
+        # every side's approximate cost is huge or inf at d = 20
+        code, out, err = run_cli(capsys, "design", "--prevalence", "0.01",
+                                 "--candidates", "hypercube", "--dimension", "20")
+        assert code == 0
+        assert "individual" in out
+        assert "no pooled design beats" in out
+        assert err == ""
+
     def test_csv_format_rejected(self, capsys):
         # design, estimate and dilution print text or JSON only
         code, out, _ = run_cli(capsys, "design", "--prevalence", "0.02", "--format", "csv")

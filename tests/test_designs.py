@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+from literal_procedures import sterrett_expected_tests_enumerated
 
 from poolscreen import designs
 from poolscreen.designs import (
@@ -27,7 +29,6 @@ from poolscreen.designs import (
     hypercube_expected_tests_per_person,
     independence_gap,
     lambert_w0,
-    sterrett_expected_tests_enumerated,
     sterrett_expected_tests_per_batch,
     sterrett_optimal_batch,
 )
@@ -250,6 +251,18 @@ class TestHypercube:
         assert abs(independence_gap(0.001, 8, 3)) < 0.01
         assert abs(independence_gap(0.05, 8, 3)) > 0.5
 
+    def test_cost_overflow_is_inf(self):
+        # b^(d(d-2)) = 64^360 is far beyond the double range
+        assert hypercube_expected_tests_per_person(0.5, 64, 20) == math.inf
+        assert hypercube_expected_tests_per_person(0.0, 64, 20) == 20 / 64
+        assert independence_gap(0.5, 64, 20) == -1.0
+
+    def test_optimizers_survive_cost_overflow(self):
+        assert designs.hypercube_optimal_side(0.01, 20).dimension == 20
+        ev = best_classification_design(0.01, candidates=("hypercube",), hypercube_dimension=20)
+        assert ev.design == DorfmanDesign(1)
+        assert best_classification_design(0.01, hypercube_dimension=20).design.kind == "array"
+
     def test_documented_gap_regression_values(self):
         # the deviations of the classical approximations from the exact
         # expectations, pinned so they cannot drift silently
@@ -352,6 +365,11 @@ class TestOptimizersMinimizeTheirCost:
         CLUSTER_CAPS,
         st.integers(min_value=2, max_value=5),
     )
+    # cluster caps at and just below an exact power, where the optimum is the cap
+    @example(1e-4, 64, 27, 3)
+    @example(1e-4, 64, 26, 3)
+    @example(1e-4, 64, 4**5, 5)
+    @example(1e-4, 64, 4**5 - 1, 5)
     def test_hypercube(self, rho, cap, cluster, d):
         cons = ConstraintSet(max_pool_size=cap, max_cluster_size=cluster)
         top = cap if cluster is None else min(cap, _largest_side(cluster, d))
@@ -416,6 +434,16 @@ class TestBestDesign:
             0.001, 3, ConstraintSet(max_pool_size=16, max_cluster_size=1000)
         )
         assert design.side <= 10
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 7])
+    def test_cluster_cap_takes_the_integer_root(self, d):
+        for k in (2, 3, 10, 999, 10**6):
+            assert designs._integer_root(k**d, d) == k
+            assert designs._integer_root(k**d - 1, d) == k - 1
+            assert designs._integer_root(k**d + 1, d) == k
+        # the float root, int((10**18 - 1) ** (1/3) + 1e-9), gives 10**6
+        assert designs._integer_root(10**18 - 1, 3) == 999_999
+        assert designs._integer_root(1, d) == 1
 
     def test_crossovers_bracket_published_band(self):
         lo, hi = classification_crossovers()

@@ -2,28 +2,27 @@
 
 SHA-256 digests over the repr of seeded Monte Carlo summaries and single-run
 outcomes, the way test_tables pins the tables: one over the noise-free runs
-and the run_* outcomes, one over the noisy runs, whose dilution noise reads
-its own stream.  A change that moves any seeded value - a kernel, the draw
-layout, the block keying, aggregation - fails here, even when the
-statistical gates elsewhere still pass.  Re-pin only the digest whose
-stream a change moves on purpose, and say why.
+and the design kernels' outcomes on single populations, one over the noisy
+runs, whose dilution noise reads its own stream.  A change that moves any
+seeded value - a kernel, the draw layout, the block keying, aggregation -
+fails here, even when the statistical gates elsewhere still pass.  Re-pin
+only the digest whose stream a change moves on purpose, and say why.
 """
 
 import hashlib
 
 import numpy as np
 
-from poolscreen.designs import ArrayDesign, DorfmanDesign, HypercubeDesign, SterrettDesign
+from poolscreen.designs import (
+    ArrayDesign,
+    DorfmanDesign,
+    HypercubeDesign,
+    SterrettDesign,
+    _grid_block,
+)
 from poolscreen.dilution import DilutionScenario
 from poolscreen.estimation import GibbsGowerPlan
-from poolscreen.simulation import (
-    BLOCK_REPS,
-    monte_carlo,
-    run_array,
-    run_dorfman,
-    run_hypercube,
-    run_sterrett,
-)
+from poolscreen.simulation import BLOCK_REPS, monte_carlo
 
 NOISE = DilutionScenario(1.0, 20.0, 5.0, 1, 0.01)
 
@@ -50,9 +49,15 @@ SEEDED_SHA256 = "613baf50a7c51f12673adfafc41e0877dc0a89697948823d6ee5d006b8b5ef9
 NOISY_SHA256 = "e23d0d5ae37ab9a6d37c3c44ffba1797e389ca4283d067280a3067b1e228834a"
 
 
-def _outcome(out):
-    return (out.tests_used, out.classified_positive.tolist(),
-            out.classified_negative.tolist(), out.false_negatives, out.false_positives)
+def _outcome(block, statuses):
+    """(tests, classified-positive indices, classified-negative indices, false
+    negatives, false positives) of a kernel block(statuses[reps, n]) -> (tests,
+    presumed mask or None) on one population."""
+    tests, presumed = block(statuses[None])
+    positive = statuses if presumed is None else presumed[0]
+    idx = np.arange(len(statuses))
+    return (int(tests[0]), idx[positive].tolist(), idx[~positive].tolist(),
+            int((statuses & ~positive).sum()), int((positive & ~statuses).sum()))
 
 
 def monte_carlo_results(noisy: bool) -> list:
@@ -65,19 +70,18 @@ def monte_carlo_results(noisy: bool) -> list:
 
 
 def seeded_results() -> list:
-    """The noise-free Monte Carlo summaries, then the run_* outcomes."""
+    """The noise-free Monte Carlo summaries, then single-population outcomes."""
     results = monte_carlo_results(noisy=False)
     rng = np.random.default_rng(20)
     for n, p in ((1, 0.5), (37, 0.1), (100, 0.05), (200, 0.3)):
         statuses = rng.random(n) < p
-        for b in (1, 3, 8):
-            results.append(_outcome(run_dorfman(statuses, b)))
-        for b in (2, 5, 9):
-            results.append(_outcome(run_sterrett(statuses, b)))
-        for b, confirm in ((3, True), (4, False), (5, True)):
-            results.append(_outcome(run_array(statuses, b, confirm)))
-        for b, d, confirm in ((2, 3, True), (3, 3, False), (2, 4, True)):
-            results.append(_outcome(run_hypercube(statuses, b, d, confirm)))
+        blocks = [DorfmanDesign(b).block for b in (1, 3, 8)]
+        blocks += [SterrettDesign(b).block for b in (2, 5, 9)]
+        blocks += [ArrayDesign(b, c).block for b, c in ((3, True), (4, False), (5, True))]
+        # hypercubes, presumptive ones too: the grid kernel with its confirm flag
+        blocks += [lambda s, b=b, d=d, c=c: _grid_block(s, b, d, c)
+                   for b, d, c in ((2, 3, True), (3, 3, False), (2, 4, True))]
+        results += [_outcome(block, statuses) for block in blocks]
     return results
 
 

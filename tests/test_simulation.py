@@ -1,4 +1,4 @@
-"""Unit tests for the Monte Carlo harness and single-run procedures."""
+"""Unit tests for the Monte Carlo harness and the design kernels."""
 
 import math
 
@@ -22,46 +22,49 @@ from poolscreen.designs import (
 from poolscreen.dilution import DilutionScenario, pooled_false_negative_rate
 from poolscreen.estimation import GibbsGowerPlan, gg_expected_estimate, gg_mse
 from poolscreen import designs, simulation
-from poolscreen.simulation import (
-    BLOCK_REPS,
-    PopulationSample,
-    monte_carlo,
-    run_array,
-    run_dorfman,
-    run_gibbs_gower,
-    run_hypercube,
-    run_sterrett,
-    simulate_population,
-)
+from poolscreen.simulation import BLOCK_REPS, monte_carlo
 
 
-def pop_of(statuses, p=0.1) -> PopulationSample:
-    return PopulationSample(np.asarray(statuses, dtype=bool), p, 0)
+def run(block, statuses):
+    """(tests, classified-positive mask) of a kernel block(statuses[reps, n])
+    -> (tests, presumed mask or None) on one population."""
+    statuses = np.asarray(statuses, dtype=bool)
+    tests, presumed = block(statuses[None])
+    return int(tests[0]), statuses if presumed is None else presumed[0]
 
 
 # ---------------------------------------------------------------------------
-# populations
+# populations, as the harness draws them
 # ---------------------------------------------------------------------------
+
+def draw(n, p, seed):
+    """The first population of a run's first block, as the harness draws it."""
+    rng = simulation._block_rng(seed, 0)
+    (_, statuses), = simulation._draw_rows(rng, 0, 1, n, p, 1)
+    return statuses[0]
+
 
 class TestPopulations:
     def test_extremes(self):
-        assert not simulate_population(500, 0.0, 3).statuses.any()
-        assert simulate_population(500, 1.0, 3).statuses.all()
+        assert not draw(500, 0.0, 3).any()
+        assert draw(500, 1.0, 3).all()
 
     def test_regeneration_is_bit_identical(self):
-        a = simulate_population(10_000, 0.07, 99)
-        b = simulate_population(10_000, 0.07, 99)
-        assert np.array_equal(a.statuses, b.statuses)
+        assert np.array_equal(draw(10_000, 0.07, 99), draw(10_000, 0.07, 99))
 
     def test_binomial_concentration(self):
-        pop = simulate_population(1_000_000, 0.01, seed=7)
-        count = int(pop.statuses.sum())
+        count = int(draw(1_000_000, 0.01, seed=7).sum())
         sd = math.sqrt(1_000_000 * 0.01 * 0.99)
         assert abs(count - 10_000) <= 3 * sd
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            simulate_population(0, 0.1, 1)
+    def test_validation(self, monkeypatch):
+        # an empty population is rejected before any status is drawn
+        def no_draw(*args, **kwargs):
+            raise AssertionError("statuses drawn for an empty population")
+
+        monkeypatch.setattr(simulation, "_block_rng", no_draw)
+        with pytest.raises(ValueError, match="population_size"):
+            monte_carlo(DorfmanDesign(5), 0.1, 0, 1, seed=1)
 
 
 @pytest.mark.parametrize("seed", [2.5, "1", -1, None], ids=["float", "str", "negative", "none"])
@@ -69,8 +72,6 @@ def test_seed_must_be_a_nonnegative_integer(seed):
     noise = DilutionScenario(1.0, 20.0, 5.0, 1, 0.01)
     calls = [
         lambda s: monte_carlo(DorfmanDesign(5), 0.05, 100, 10, seed=s),
-        lambda s: run_gibbs_gower(0.05, GibbsGowerPlan(8, 50), seed=s),
-        lambda s: simulate_population(100, 0.05, s).statuses.tobytes(),
         lambda s: simulation.simulate_particle_miss_rate(noise, 10, s),
     ]
     for call in calls:
@@ -80,75 +81,74 @@ def test_seed_must_be_a_nonnegative_integer(seed):
 
 
 # ---------------------------------------------------------------------------
-# single-run procedures
+# the kernels on single populations, traced by hand
 # ---------------------------------------------------------------------------
 
 class TestRunners:
     def test_dorfman_all_negative(self):
-        out = run_dorfman(pop_of([False] * 100), 5)
-        assert out.tests_used == 20
+        assert run(DorfmanDesign(5).block, [False] * 100)[0] == 20
 
     def test_dorfman_all_positive(self):
-        out = run_dorfman(pop_of([True] * 100), 5)
-        assert out.tests_used == 120
+        assert run(DorfmanDesign(5).block, [True] * 100)[0] == 120
 
     def test_dorfman_partial_tail_pool(self):
         # 7 people in pools of 5: tail pool has 2 real members
         statuses = [False] * 5 + [True, False]
-        out = run_dorfman(pop_of(statuses), 5)
-        assert out.tests_used == 2 + 2
+        assert run(DorfmanDesign(5).block, statuses)[0] == 2 + 2
 
     def test_classification_partitions_population(self):
-        pop = simulate_population(101, 0.2, 11)
-        for out in (run_dorfman(pop, 5), run_sterrett(pop, 6), run_array(pop, 4)):
-            merged = np.sort(np.concatenate([out.classified_positive, out.classified_negative]))
-            assert np.array_equal(merged, np.arange(101))
-            assert out.false_negatives == 0
+        statuses = np.random.default_rng(11).random(101) < 0.2
+        for design in (DorfmanDesign(5), SterrettDesign(6), ArrayDesign(4)):
+            _, positive = run(design.block, statuses)
+            assert positive.shape == statuses.shape
+            assert not (statuses & ~positive).any()  # no false negatives
 
     def test_array_all_negative_cluster(self):
-        out = run_array(pop_of([False] * 64), 8)
-        assert out.tests_used == 16
+        assert run(ArrayDesign(8).block, [False] * 64)[0] == 16
 
     def test_array_single_positive(self):
         statuses = np.zeros(64, dtype=bool)
         statuses[37] = True
-        out = run_array(pop_of(statuses), 8)
-        assert out.tests_used == 17
-        assert list(out.classified_positive) == [37]
+        tests, positive = run(ArrayDesign(8).block, statuses)
+        assert tests == 17
+        assert list(np.flatnonzero(positive)) == [37]
 
     def test_array_presumptive_counts_false_positives(self):
         # two positives on a diagonal light up 2 rows and 2 columns: the two
         # off-diagonal cells are presumed positive wrongly
         statuses = np.zeros(16, dtype=bool)
         statuses[0] = statuses[5] = True  # (0,0) and (1,1) of a 4x4 grid
-        out = run_array(pop_of(statuses), 4, confirm=False)
-        assert out.tests_used == 8
-        assert out.false_positives == 2
-        assert out.false_negatives == 0
+        tests, positive = run(ArrayDesign(4, confirm_stage=False).block, statuses)
+        assert tests == 8
+        assert int((positive & ~statuses).sum()) == 2
+        assert int((statuses & ~positive).sum()) == 0
 
     def test_hypercube_d2_equals_array(self):
-        pop = simulate_population(256, 0.06, 21)
-        assert run_hypercube(pop, 8, 2).tests_used == run_array(pop, 8).tests_used
+        statuses = np.random.default_rng(21).random(256) < 0.06
+        hypercube_tests, _ = run(HypercubeDesign(8, 2).block, statuses)
+        assert hypercube_tests == run(ArrayDesign(8).block, statuses)[0]
 
     def test_hypercube_single_positive(self):
         statuses = np.zeros(512, dtype=bool)
         statuses[100] = True
-        out = run_hypercube(pop_of(statuses), 8, 3)
-        assert out.tests_used == 3 * 64 + 1
+        assert run(HypercubeDesign(8, 3).block, statuses)[0] == 3 * 64 + 1
 
     def test_sterrett_hand_traces(self):
+        def tests(pattern):
+            return run(SterrettDesign(5).block, pattern)[0]
+
         # positive at the front: pool, hit on first test, clean remainder pool
-        assert run_sterrett(pop_of([1, 0, 0, 0, 0]), 5).tests_used == 3
+        assert tests([1, 0, 0, 0, 0]) == 3
         # all negative: single pool test
-        assert run_sterrett(pop_of([0] * 5), 5).tests_used == 1
+        assert tests([0] * 5) == 1
         # positive only at the back: pool + walk of b-1 with the last inferred
-        assert run_sterrett(pop_of([0, 0, 0, 0, 1]), 5).tests_used == 5
+        assert tests([0, 0, 0, 0, 1]) == 5
         # two positives up front: pool, hit, pool, hit, remainder pool
-        assert run_sterrett(pop_of([1, 1, 0, 0, 0]), 5).tests_used == 5
+        assert tests([1, 1, 0, 0, 0]) == 5
 
     def test_gibbs_gower_runs(self):
-        assert run_gibbs_gower(0.0, GibbsGowerPlan(8, 50), seed=4) == 0.0
-        value = run_gibbs_gower(0.05, GibbsGowerPlan(8, 500), seed=4)
+        assert literal.gibbs_gower(0.0, GibbsGowerPlan(8, 50), seed=4) == 0.0
+        value = literal.gibbs_gower(0.05, GibbsGowerPlan(8, 500), seed=4)
         assert 0.0 < value < 0.2
 
 
@@ -351,7 +351,7 @@ class TestMonteCarlo:
         plan = GibbsGowerPlan(8, 600)
         reps = 100_000
         p_hats = np.array(
-            [run_gibbs_gower(0.01, GibbsGowerPlan(8, 60), seed=s) for s in range(300)]
+            [literal.gibbs_gower(0.01, GibbsGowerPlan(8, 60), seed=s) for s in range(300)]
         )
         # literal pool-by-pool runs: mean within 3 SE of the exact bias sum
         expected = gg_expected_estimate(0.01, 8, 60)
@@ -386,10 +386,9 @@ NOISE = DilutionScenario(1.0, 20.0, 5.0, 1, 0.01)
 
 
 class TestRowSubChunks:
-    """Monte Carlo blocks, noisy or not, and Gibbs-Gower populations are
-    drawn and reduced a few rows at a time; the sub-chunk size must not
-    change any result.  At these sizes the default budget takes every block
-    whole."""
+    """Monte Carlo blocks, noisy or not, are drawn and reduced a few rows at
+    a time; the sub-chunk size must not change any result.  At these sizes
+    the default budget takes every block whole."""
 
     # pool sizes that leave a ragged last pool of 61 people, and a ragged
     # last block of 7 replications; (design, noise) pairs
@@ -412,13 +411,6 @@ class TestRowSubChunks:
         for rows in (1, 1000):
             self.rows_per_chunk(monkeypatch, rows, 61)
             assert monte_carlo(*args, seed=5, noise=noise, workers=workers) == whole
-
-    def test_gibbs_gower_draws(self, monkeypatch):
-        plan = GibbsGowerPlan(40, 3001)
-        whole = [run_gibbs_gower(0.01, plan, seed) for seed in range(3)]
-        for rows in (1, 1000):
-            self.rows_per_chunk(monkeypatch, rows, 40)
-            assert [run_gibbs_gower(0.01, plan, seed) for seed in range(3)] == whole
 
 
 class TestDilutionNoise:

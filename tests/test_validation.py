@@ -64,8 +64,6 @@ BAD_CALLS = [
      "hypercube dimension"),
     ("sterrett_cost-inf", lambda: d.sterrett_expected_tests_per_batch(INF, 6), "prevalence"),
     ("sterrett_cost-float", lambda: d.sterrett_expected_tests_per_batch(0.05, 6.5), "batch size"),
-    ("sterrett_enumerated-str", lambda: d.sterrett_expected_tests_enumerated(0.05, "6"),
-     "batch size"),
     ("sterrett_optimal-nan", lambda: d.sterrett_optimal_batch(NAN), "prevalence"),
     ("evaluate_design-str", lambda: d.evaluate_design(d.DorfmanDesign(5), "0.05"), "prevalence"),
     ("evaluate_design-gibbs-gower", lambda: d.evaluate_design(e.GibbsGowerPlan(5, 10), 0.05),
@@ -136,15 +134,6 @@ BAD_CALLS = [
     ("max_pool-float", lambda: dil.max_pool_size_for_threshold(scenario(), 0.05, 32.0),
      "max_pool"),
     # simulation
-    ("simulate_population-str", lambda: s.simulate_population(100, "0.05", 1), "prevalence"),
-    ("simulate_population-size-bool", lambda: s.simulate_population(True, 0.05, 1),
-     "population size"),
-    ("run_gibbs_gower-nan", lambda: s.run_gibbs_gower(NAN, e.GibbsGowerPlan(8, 50), 1),
-     "prevalence"),
-    ("run_array-confirm-str", lambda: s.run_array(np.ones(16, bool), 4, "no"), "confirm"),
-    ("run_hypercube-confirm-none", lambda: s.run_hypercube(np.ones(27, bool), 3, 3, None),
-     "confirm"),
-    ("run_hypercube-confirm-int", lambda: s.run_hypercube(np.ones(27, bool), 3, 3, 0), "confirm"),
     ("monte_carlo-object", lambda: s.monte_carlo(object(), 0.05, 100, 10, seed=0), "design"),
     ("monte_carlo-str-design", lambda: s.monte_carlo("dorfman", 0.05, 100, 10, seed=0), "design"),
     ("monte_carlo-array-noise",
@@ -178,13 +167,6 @@ def test_bad_argument_raises_value_error_naming_it(call, name):
     assert name in str(info.value)
 
 
-STATUSES = np.random.default_rng(0).random(40) < 0.2
-
-
-def _outcome(out):
-    return out.tests_used, out.classified_positive.tolist()
-
-
 # (id, function, arguments); every bool, int and float argument is replayed as
 # a NumPy scalar.  The floats are exact in float32, so np.float32 keeps values.
 NUMPY_CALLS = [
@@ -200,7 +182,6 @@ NUMPY_CALLS = [
     ("hypercube_optimal", d.hypercube_optimal_side, (0.03125, 3)),
     ("independence_gap", d.independence_gap, (0.0625, 5, 3)),
     ("sterrett_cost", d.sterrett_expected_tests_per_batch, (0.0625, 9)),
-    ("sterrett_enumerated", d.sterrett_expected_tests_enumerated, (0.0625, 9)),
     ("best_design", lambda p, dim: d.best_classification_design(p, hypercube_dimension=dim),
      (0.03125, 3)),
     ("crossovers", d.classification_crossovers, (8, 8, 0.0078125, 0.25, 200)),
@@ -223,12 +204,6 @@ NUMPY_CALLS = [
      (1.0, 16.0, 4.0, 8, 0.03125)),
     ("expected_positives", dil.expected_positives_per_pool, (8, 0.03125)),
     ("max_pool", lambda x, m: dil.max_pool_size_for_threshold(scenario(), x, m), (0.0625, 40)),
-    ("simulate_population", lambda *a: s.simulate_population(*a).statuses.tobytes(),
-     (300, 0.0625, 4)),
-    ("run_array-confirm", lambda c: _outcome(s.run_array(STATUSES, 3, c)), (False,)),
-    ("run_hypercube-confirm", lambda c: _outcome(s.run_hypercube(STATUSES, 2, 3, c)), (False,)),
-    ("run_gibbs_gower", lambda p, seed: s.run_gibbs_gower(p, e.GibbsGowerPlan(8, 50), seed),
-     (0.0625, 3)),
     ("monte_carlo", lambda p, n, reps, seed, workers: s.monte_carlo(
         d.SterrettDesign(5), p, n, reps, seed, workers=workers), (0.0625, 100, 300, 2, 2)),
     ("monte_carlo-noisy", lambda p, n, reps, seed: s.monte_carlo(
