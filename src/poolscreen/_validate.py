@@ -1,10 +1,10 @@
 """Argument checks shared by every public entry point, the pool formula, and
 exp with inf on overflow.
 
-Each check returns its argument as a plain float, int or bool, or raises
-ValueError naming it.  Strings, bool, NaN and infinities are rejected where
-a number belongs, and so is a float where an integer belongs; a flag must be
-a bool.  NumPy scalars are accepted.  The
+Each check returns its argument as a plain float, int or bool, or the object
+of the class it asks for, or raises ValueError naming it.  Strings, bool, NaN
+and infinities are rejected where a number belongs, and so is a float where
+an integer belongs; a flag must be a bool.  NumPy scalars are accepted.  The
 type tests check the exact type first and then concrete tuples, never
 numbers.Real: an ABC isinstance costs several times more, and the
 optimizers call checked public cost functions in their inner loops.
@@ -69,6 +69,13 @@ def boolean(x, name: str) -> bool:
     if type(x) is bool or isinstance(x, np.bool_):
         return bool(x)
     raise ValueError(f"{name} must be True or False, got {x!r}")
+
+
+def instance(x, cls: type, name: str, optional: bool = False):
+    """x when it is a cls, or None when optional."""
+    if isinstance(x, cls) or (optional and x is None):
+        return x
+    raise ValueError(f"{name} must be a {cls.__name__}{' or None' if optional else ''}, got {x!r}")
 
 
 def positive_fraction(p: float, b: int) -> float:

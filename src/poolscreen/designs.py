@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import lambertw
 
-from ._validate import boolean, exp_or_inf, integer, positive_fraction, prob, real
+from ._validate import boolean, exp_or_inf, instance, integer, positive_fraction, prob, real
 
 __all__ = [
     "ConstraintSet",
@@ -287,6 +287,11 @@ def lambert_w0(x: float) -> float:
 # the size search every optimizer runs
 # ---------------------------------------------------------------------------
 
+def _constraints(constraints: ConstraintSet | None) -> ConstraintSet:
+    """The checked constraints argument, with None meaning no constraints."""
+    return instance(constraints, ConstraintSet, "constraints", optional=True) or ConstraintSet()
+
+
 def _best_size(cost, cap: int, what: str) -> int:
     """Smallest size in 2..cap at which cost(size) is least, by exhaustive search."""
     if cap < 2:
@@ -337,7 +342,7 @@ def dorfman_optimal_batch(rho: float, constraints: ConstraintSet | None = None) 
     smaller batch.  When uncapped the result brackets the continuous optimum.
     """
     rho = prob(rho, open_zero=True, open_one=True)
-    cap = (constraints or ConstraintSet()).pool_cap()
+    cap = _constraints(constraints).pool_cap()
     return DorfmanDesign(
         _best_size(lambda b: dorfman_expected_tests_per_person(rho, b), cap, "batch size")
     )
@@ -369,17 +374,13 @@ def array_expected_tests_exact(rho: float, b: int) -> float:
     is b^2 (1 - 2 q^b + q^(2b-1)) with q = 1 - rho: a row and a column jointly
     cover 2b - 1 cells, which is what the independence approximation ignores.
     """
-    rho = prob(rho)
-    b = integer(b, 2, "array side")
-    q_b = math.exp(b * math.log1p(-rho)) if rho < 1.0 else 0.0
-    q_cross = math.exp((2 * b - 1) * math.log1p(-rho)) if rho < 1.0 else 0.0
-    return 2.0 / b + 1.0 - 2.0 * q_b + q_cross
+    return hypercube_expected_tests_exact(rho, integer(b, 2, "array side"), 2)
 
 
 def array_optimal_side(rho: float, constraints: ConstraintSet | None = None) -> ArrayDesign:
     """Side length minimizing the approximate array cost, exhaustively."""
     rho = prob(rho, open_zero=True, open_one=True)
-    cons = constraints or ConstraintSet()
+    cons = _constraints(constraints)
     cap = cons.pool_cap()
     if cons.max_cluster_size is not None:
         cap = min(cap, int(math.isqrt(cons.max_cluster_size)))
@@ -415,20 +416,15 @@ def hypercube_expected_tests_per_person(rho: float, b: int, d: int) -> float:
 def hypercube_expected_tests_exact(rho: float, b: int, d: int) -> float:
     """Exact expected tests per person for hypercube testing with confirmation.
 
-    A cell is retested when all d axis-parallel lines through it are positive.
-    Any k of those lines jointly cover k(b-1) + 1 cells, so inclusion-
-    exclusion gives P(candidate) = 1 + sum_{k=1..d} (-1)^k C(d,k) q^(k(b-1)+1).
+    A cell is retested when all d axis-parallel lines through it are positive:
+    it is positive, or each line holds a positive among its other b - 1 cells.
+    So P(candidate) = 1 - q + q (1 - q^(b-1))^d, the inclusion-exclusion sum
+    over the lines without the alternating terms that cancel at high d.
     """
     rho = prob(rho)
     b = integer(b, 2, "hypercube side")
     d = integer(d, 2, "hypercube dimension")
-    if rho == 1.0:
-        return d / b + 1.0
-    log_q = math.log1p(-rho)
-    p_candidate = 1.0
-    for k in range(1, d + 1):
-        p_candidate += (-1) ** k * math.comb(d, k) * math.exp((k * (b - 1) + 1) * log_q)
-    return d / b + p_candidate
+    return d / b + rho + (1.0 - rho) * positive_fraction(rho, b - 1) ** d
 
 
 def hypercube_optimal_side(
@@ -437,7 +433,7 @@ def hypercube_optimal_side(
     """Side length minimizing the approximate hypercube cost, exhaustively."""
     rho = prob(rho, open_zero=True, open_one=True)
     d = integer(d, 2, "hypercube dimension")
-    cons = constraints or ConstraintSet()
+    cons = _constraints(constraints)
     cap = cons.pool_cap()
     if cons.max_cluster_size is not None:
         cap = min(cap, _integer_root(cons.max_cluster_size, d))
@@ -463,12 +459,8 @@ def independence_gap(rho: float, b: int, d: int = 2) -> float:
     real procedure uses more tests than the approximation predicts.  Where
     the approximation overflows to inf the gap is its limit, -1.
     """
-    if integer(d, 2, "hypercube dimension") == 2:
-        approx = array_expected_tests_per_person(rho, b, confirm_stage=True)
-        exact = array_expected_tests_exact(rho, b)
-    else:
-        approx = hypercube_expected_tests_per_person(rho, b, d)
-        exact = hypercube_expected_tests_exact(rho, b, d)
+    approx = hypercube_expected_tests_per_person(rho, b, d)
+    exact = hypercube_expected_tests_exact(rho, b, d)
     if approx == math.inf:
         return -1.0
     return (exact - approx) / approx
@@ -519,7 +511,7 @@ def sterrett_optimal_batch(rho: float, constraints: ConstraintSet | None = None)
     is O(cap^2); caps above 4096, the recursion's bound, are rejected.
     """
     rho = prob(rho, open_zero=True, open_one=True)
-    cap = (constraints or ConstraintSet()).pool_cap()
+    cap = _constraints(constraints).pool_cap()
     if cap > _STERRETT_MAX_BATCH:
         raise ValueError(f"Sterrett pool cap {cap} is above the recursion's bound, "
                          f"{_STERRETT_MAX_BATCH}")
@@ -627,7 +619,7 @@ def best_classification_design(
     rho = prob(rho, open_zero=True, open_one=True)
     if not candidates:
         raise ValueError("need at least one candidate architecture")
-    cons = constraints or ConstraintSet()
+    cons = _constraints(constraints)
     optimizers = {
         "dorfman": dorfman_optimal_batch,
         "array": array_optimal_side,

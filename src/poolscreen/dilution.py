@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from ._validate import integer, positive_fraction, prob, real
+from ._validate import instance, integer, positive_fraction, prob, real
 
 __all__ = [
     "DilutionScenario",
@@ -78,6 +78,7 @@ class DilutionScenario:
 
 def individual_false_negative_rate(scenario: DilutionScenario) -> float:
     """(1 - l/T)^(c T): chance an individual test samples zero particles."""
+    scenario = instance(scenario, DilutionScenario, "scenario")
     frac = scenario.aliquot_volume / scenario.sample_volume
     if frac == 1.0:
         return 0.0 if scenario.particle_count > 0 else 1.0
@@ -93,6 +94,7 @@ def expected_positives_per_pool(n_pool: int, p: float) -> float:
 
 def pooled_false_negative_rate(scenario: DilutionScenario) -> float:
     """(1 - l/(nT))^(c T * positives-per-pool): miss chance for a positive pool."""
+    scenario = instance(scenario, DilutionScenario, "scenario")
     n = scenario.pool_size
     if n == 1:
         return individual_false_negative_rate(scenario)
@@ -114,6 +116,7 @@ def max_pool_size_for_threshold(
     Scans downward from max_pool (the introduced rate only grows with the
     pool size); returns 1 when no pooling is acceptable.
     """
+    base = instance(base, DilutionScenario, "base")
     threshold = real(threshold, "threshold")
     max_pool = integer(max_pool, 1, "max_pool")
     for n in range(max_pool, 1, -1):

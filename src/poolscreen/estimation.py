@@ -30,7 +30,9 @@ Planning conventions:
 * cost minimization ranks pool sizes by the fractional test requirement
   (the real-valued t where the exact NRMSE crosses the target), which avoids
   integer-rounding cliffs in the objective, then reports the integer
-  requirement of the winner.
+  requirement of the winner.  The search is exhaustive in b and bounded by
+  the target planner's least requirement; it evaluates about 1/p sizes, so
+  its time grows as 1/p too (some 0.8 s at p = 1e-4, 2 s at 3e-5).
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from . import designs
-from ._validate import exp_or_inf, integer, positive_fraction, prob, real
+from ._validate import exp_or_inf, instance, integer, positive_fraction, prob, real
 
 __all__ = [
     "InfeasibleDesignError",
@@ -127,7 +129,10 @@ class CostModel:
     test_weight: float = 10.0
 
     def __post_init__(self):
-        if real(self.sample_weight, "sample_weight") + real(self.test_weight, "test_weight") == 0:
+        # stored as plain floats, so NumPy scalars compute as Python numbers do
+        object.__setattr__(self, "sample_weight", real(self.sample_weight, "sample_weight"))
+        object.__setattr__(self, "test_weight", real(self.test_weight, "test_weight"))
+        if self.sample_weight + self.test_weight == 0:
             raise ValueError("at least one cost weight must be positive")
 
     def objective(self, samples: float, tests: float) -> float:
@@ -176,6 +181,7 @@ def pool_positive_prob(p: float, b: int) -> float:
 
 def gg_estimate(outcome: PoolTestOutcome) -> float:
     """Prevalence estimate 1 - (1 - t_+/t)^(1/b) from a pooled outcome."""
+    outcome = instance(outcome, PoolTestOutcome, "outcome")
     if outcome.positive_pools == 0:
         return 0.0
     if outcome.positive_pools == outcome.num_pools:
@@ -509,47 +515,34 @@ def gg_minimize_cost(
     Minimizes alpha * b * t + beta * t over integer pool sizes, where t is
     the test requirement at pool size b.  Pool sizes are ranked by their
     fractional requirement so that the integer rounding of t (worth up to a
-    full test) cannot mask a genuinely cheaper pool size; the returned plan
-    and objective use the actual integer requirement of the winner.
-    caps.max_pool_size, when set, replaces the default cap of ceil(10/p).
+    full test) cannot mask a genuinely cheaper pool size (ties go to the
+    smaller); the returned plan and objective use the actual integer
+    requirement of the winner.  caps.max_pool_size replaces ceil(10/p).
     """
     p = prob(p, open_zero=True, open_one=True)
+    cost = instance(cost, CostModel, "cost")
     target = real(target_nrmse, "target_nrmse", strict=True)
-    if caps is not None and not isinstance(caps, designs.ConstraintSet):
-        raise ValueError(f"caps must be None or a ConstraintSet, got {caps!r}")
+    caps = instance(caps, designs.ConstraintSet, "caps", optional=True)
     b_max = _default_pool_cap(p) if caps is None else caps.pool_cap(_default_pool_cap(p))
-
-    cache: dict[int, float | None] = {}
-
-    def t_real(b: int) -> float | None:
-        if b not in cache:
-            try:
-                cache[b] = gg_tests_needed_real(p, b, target)
-            except InfeasibleDesignError:
-                cache[b] = None
-        return cache[b]
-
-    def objective_real(b: int) -> float | None:
-        tr = t_real(b)
-        if tr is None:
-            return None
-        return tr * (cost.sample_weight * b + cost.test_weight)
-
-    grid = np.unique(np.round(np.geomspace(1, b_max, 160)).astype(int))
-    scored = [(objective_real(int(b)), int(b)) for b in grid]
-    scored = [(v, b) for v, b in scored if v is not None]
-    if not scored:
-        raise InfeasibleDesignError(
-            f"no pool size up to {b_max} reaches NRMSE {target} at prevalence {p}"
-        )
-    _, b_coarse = min(scored)
-    lo = max(1, int(b_coarse * 0.55))
-    hi = min(b_max, int(b_coarse * 1.85) + 2)
-    best_b, best_obj = None, math.inf
-    for b in range(lo, hi + 1):
-        v = objective_real(b)
-        if v is not None and v < best_obj:
-            best_b, best_obj = b, v
+    # every size needs t_real(b) > t_int(b) - 1 >= t_min - 1 pools, where
+    # t_min is the target planner's least requirement over all sizes
+    start = _optimal_pool_target(p, target, b_max)
+    t_min, bound = start.num_pools, target * (1.0 + _REL_GUARD)
+    best_b = start.pool_size
+    best = gg_tests_needed_real(p, best_b, target) * cost.objective(best_b, 1)
+    for b in range(1, b_max + 1):
+        weight = cost.objective(b, 1)
+        if (t_min - 1) * weight >= best:
+            break  # the weight never falls as b grows, so no later size wins
+        # missing the target at ceil(best / weight) pools puts t_real above it
+        if b == best_b or _nrmse_unchecked(p, b, math.ceil(best / weight)) > bound:
+            continue
+        try:
+            v = gg_tests_needed_real(p, b, target) * weight
+        except InfeasibleDesignError:  # needs more pools than the search limit
+            continue
+        if v < best or (v == best and b < best_b):
+            best_b, best = b, v
     t_int = gg_tests_needed(p, best_b, target)
     plan = GibbsGowerPlan(best_b, t_int)
     return CostOptimum(plan, plan.total_samples, cost.objective(plan.total_samples, t_int))
@@ -602,8 +595,8 @@ def report_for_outcome(outcome: PoolTestOutcome) -> EstimationReport:
     (the truth being unknown); they are omitted when the estimate is 0 or 1,
     where the plug-in moments are degenerate.
     """
-    integer(outcome.num_pools, 1, "pool count", MAX_EXACT_POOL_COUNT)
     p_hat = gg_estimate(outcome)
+    integer(outcome.num_pools, 1, "pool count", MAX_EXACT_POOL_COUNT)
     rate = outcome.positive_pools / outcome.num_pools
     saturated = outcome.positive_pools == outcome.num_pools
     if p_hat in (0.0, 1.0):

@@ -49,7 +49,7 @@ import numpy as np
 
 from . import dilution as _dilution
 from . import estimation as _estimation
-from ._validate import integer, prob
+from ._validate import instance, integer, prob
 from .designs import _CLASSIFICATION_DESIGNS
 from .estimation import GibbsGowerPlan
 
@@ -139,6 +139,7 @@ def monte_carlo(
     reps = integer(reps, 1, "reps")
     seed = integer(seed, 0, "seed")
     workers = integer(workers, 1, "workers")
+    noise = instance(noise, _dilution.DilutionScenario, "noise", optional=True)
     if noise is not None and not hasattr(design, "noisy_block"):
         raise ValueError("dilution noise is modeled for Dorfman and Sterrett runs only")
 
@@ -248,6 +249,7 @@ def simulate_particle_miss_rate(
     the test misses when the aliquot part catches none.  (The count in one
     part of a uniform multinomial is binomial, which is what is drawn.)
     """
+    scenario = instance(scenario, _dilution.DilutionScenario, "scenario")
     reps = integer(reps, 1, "reps")
     seed = integer(seed, 0, "seed")
     n_particles = math.ceil(scenario.particle_count)

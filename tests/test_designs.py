@@ -1,6 +1,7 @@
 """Unit tests for the closed-form classification design module."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -243,6 +244,18 @@ class TestHypercube:
             total += prob * (d * b ** (d - 1) + int(cand.sum()))
         assert hypercube_expected_tests_exact(rho, b, d) == pytest.approx(
             total / b**d, rel=1e-12
+        )
+
+    @pytest.mark.parametrize("d", [40, 60])
+    def test_exact_form_at_high_dimension(self, d):
+        # inclusion-exclusion over the d lines through a cell, summed without
+        # rounding: in floats its alternating terms cancel to nonsense
+        rho, b = 0.01, 2
+        q = 1 - Fraction(rho)
+        candidate = 1 + sum((-1) ** k * math.comb(d, k) * q ** (k * (b - 1) + 1)
+                            for k in range(1, d + 1))
+        assert hypercube_expected_tests_exact(rho, b, d) == pytest.approx(
+            float(Fraction(d, b) + candidate), rel=1e-14
         )
 
     def test_independence_gap_blows_up_with_prevalence(self):

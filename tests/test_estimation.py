@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
@@ -366,6 +366,38 @@ class TestMinimizeCost:
         cost = CostModel(1.0, 10.0)
         opt = gg_minimize_cost(0.05, cost, 0.15)
         assert opt.objective_value == cost.objective(opt.total_samples, opt.plan.num_pools)
+
+    def test_requirement_past_the_search_limit_is_skipped(self):
+        # pool size 1 needs more than the search limit of pools; size 2 does not
+        opt = gg_minimize_cost(3e-5, CostModel(1.0, 0.0), 0.15)
+        assert opt.plan == GibbsGowerPlan(2, 740731)
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        st.floats(0.005, 0.45),
+        st.floats(0.05, 0.4),
+        st.integers(1, 80),
+        st.sampled_from([0.0, 1.0]),
+        st.one_of(st.just(0.0), st.floats(0.5, 50)),
+    )
+    def test_matches_brute_force(self, p, target, cap, alpha, beta):
+        assume(alpha + beta > 0.0)
+        # every size's fractional requirement times its weight; the smallest
+        # size among the cheapest
+        objectives = {}
+        for b in range(1, cap + 1):
+            try:
+                objectives[b] = gg_tests_needed_real(p, b, target) * (alpha * b + beta)
+            except InfeasibleDesignError:
+                pass
+        cost, caps = CostModel(alpha, beta), ConstraintSet(max_pool_size=cap)
+        if not objectives:
+            with pytest.raises(InfeasibleDesignError):
+                gg_minimize_cost(p, cost, target, caps)
+            return
+        best = min(objectives, key=lambda b: (objectives[b], b))
+        opt = gg_minimize_cost(p, cost, target, caps)
+        assert opt.plan == GibbsGowerPlan(best, gg_tests_needed(p, best, target))
 
     def test_cost_model_validation(self):
         with pytest.raises(ValueError):

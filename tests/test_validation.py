@@ -49,27 +49,35 @@ BAD_CALLS = [
     ("dorfman_cost-float", lambda: d.dorfman_expected_tests_per_person(0.05, 5.0), "batch size"),
     ("dorfman_continuous-inf", lambda: d.dorfman_optimal_batch_continuous(INF), "prevalence"),
     ("dorfman_optimal-str", lambda: d.dorfman_optimal_batch("0.02"), "prevalence"),
+    ("dorfman_optimal-constraints-int", lambda: d.dorfman_optimal_batch(0.02, 5), "constraints"),
     ("array_cost-float", lambda: d.array_expected_tests_per_person(0.05, 8.5), "array side"),
     ("array_cost-confirm-str", lambda: d.array_expected_tests_per_person(0.05, 8, "false"),
      "confirm_stage"),
     ("array_exact-nan", lambda: d.array_expected_tests_exact(NAN, 8), "prevalence"),
     ("array_optimal-bool", lambda: d.array_optimal_side(True), "prevalence"),
+    ("array_optimal-constraints-int", lambda: d.array_optimal_side(0.02, 5), "constraints"),
     ("hypercube_cost-dim-float", lambda: d.hypercube_expected_tests_per_person(0.05, 4, 3.0),
      "hypercube dimension"),
     ("hypercube_exact-str", lambda: d.hypercube_expected_tests_exact(0.05, "4", 3),
      "hypercube side"),
     ("hypercube_optimal-dim-bool", lambda: d.hypercube_optimal_side(0.05, True),
      "hypercube dimension"),
+    ("hypercube_optimal-constraints-int", lambda: d.hypercube_optimal_side(0.05, 3, 5),
+     "constraints"),
     ("independence_gap-dim-float", lambda: d.independence_gap(0.05, 8, 2.0),
      "hypercube dimension"),
     ("sterrett_cost-inf", lambda: d.sterrett_expected_tests_per_batch(INF, 6), "prevalence"),
     ("sterrett_cost-float", lambda: d.sterrett_expected_tests_per_batch(0.05, 6.5), "batch size"),
     ("sterrett_optimal-nan", lambda: d.sterrett_optimal_batch(NAN), "prevalence"),
+    ("sterrett_optimal-constraints-int", lambda: d.sterrett_optimal_batch(0.05, 5),
+     "constraints"),
     ("evaluate_design-str", lambda: d.evaluate_design(d.DorfmanDesign(5), "0.05"), "prevalence"),
     ("evaluate_design-gibbs-gower", lambda: d.evaluate_design(e.GibbsGowerPlan(5, 10), 0.05),
      "design"),
     ("evaluate_design-object", lambda: d.evaluate_design(object(), 0.05), "design"),
     ("best_design-nan", lambda: d.best_classification_design(NAN), "prevalence"),
+    ("best_design-constraints-int", lambda: d.best_classification_design(0.05, 5),
+     "constraints"),
     ("best_design-kind-unknown", lambda: d.best_classification_design(0.05, candidates=("grid",)),
      "architecture kind"),
     ("best_design-kind-list",
@@ -116,11 +124,14 @@ BAD_CALLS = [
     ("gg_minimize_cost-nan", lambda: e.gg_minimize_cost(0.05, e.CostModel(), NAN), "target_nrmse"),
     ("gg_minimize_cost-caps-int", lambda: e.gg_minimize_cost(0.01, e.CostModel(), 0.15, caps=5),
      "caps"),
+    ("gg_minimize_cost-cost-none", lambda: e.gg_minimize_cost(0.01, None, 0.15), "cost"),
     ("rule_of_thumb-bool", lambda: e.estimation_rule_of_thumb(True), "prevalence guess"),
     ("dorfman_estimation_rmse-float", lambda: e.dorfman_estimation_rmse(0.05, 100.0), "num_tests"),
     ("report_for_plan-nan", lambda: e.report_for_plan(NAN, 5, 100), "prevalence"),
     ("report_for_outcome-pools", lambda: e.report_for_outcome(e.PoolTestOutcome(100_001, 7, 5)),
      "pool count"),
+    ("report_for_outcome-none", lambda: e.report_for_outcome(None), "outcome"),
+    ("gg_estimate-none", lambda: e.gg_estimate(None), "outcome"),
     # dilution
     ("DilutionScenario-concentration-nan", lambda: scenario(concentration=NAN), "concentration"),
     ("DilutionScenario-aliquot-str", lambda: scenario(aliquot_volume="1"), "aliquot_volume"),
@@ -133,11 +144,18 @@ BAD_CALLS = [
      "threshold"),
     ("max_pool-float", lambda: dil.max_pool_size_for_threshold(scenario(), 0.05, 32.0),
      "max_pool"),
+    ("max_pool-base-none", lambda: dil.max_pool_size_for_threshold(None, 0.05), "base"),
+    ("individual_false_negative_rate-none",
+     lambda: dil.individual_false_negative_rate(None), "scenario"),
+    ("pooled_false_negative_rate-none", lambda: dil.pooled_false_negative_rate(None),
+     "scenario"),
     # simulation
     ("monte_carlo-object", lambda: s.monte_carlo(object(), 0.05, 100, 10, seed=0), "design"),
     ("monte_carlo-str-design", lambda: s.monte_carlo("dorfman", 0.05, 100, 10, seed=0), "design"),
     ("monte_carlo-array-noise",
      lambda: s.monte_carlo(d.ArrayDesign(8), 0.05, 64, 10, seed=0, noise=scenario()), "noise"),
+    ("monte_carlo-noise-str",
+     lambda: s.monte_carlo(d.DorfmanDesign(4), 0.05, 40, 10, 1, noise="x"), "noise"),
     ("monte_carlo-str", lambda: s.monte_carlo(d.DorfmanDesign(5), "0.05", 100, 10, seed=0),
      "prevalence"),
     ("monte_carlo-nan", lambda: s.monte_carlo(d.DorfmanDesign(5), NAN, 100, 10, seed=0),
@@ -156,6 +174,8 @@ BAD_CALLS = [
      "reps"),
     ("particle_miss_rate-reps-float", lambda: s.simulate_particle_miss_rate(scenario(), 2.5, 1),
      "reps"),
+    ("particle_miss_rate-scenario-none", lambda: s.simulate_particle_miss_rate(None, 10, 1),
+     "scenario"),
 ]
 
 
@@ -227,6 +247,14 @@ def _numpy(x):
                          ids=[i for i, _, _ in NUMPY_CALLS])
 def test_numpy_scalars_give_the_python_result(fn, args):
     assert fn(*[_numpy(a) for a in args]) == fn(*args)
+
+
+def test_cost_weights_inexact_in_float32_give_the_python_result():
+    # 1.1 is not exact in float32: the weight computes as the float it holds
+    weight = np.float32(1.1)
+    opt = e.gg_minimize_cost(0.01, e.CostModel(weight, 10.0), 0.15)
+    assert opt == e.gg_minimize_cost(0.01, e.CostModel(float(weight), 10.0), 0.15)
+    assert type(opt.objective_value) is float
 
 
 # Valid arguments where (1-p)^(b-2), in the asymptotic variance, leaves the
