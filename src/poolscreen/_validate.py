@@ -51,15 +51,19 @@ def prob(x, name: str = "prevalence", open_zero: bool = False, open_one: bool = 
     return x
 
 
-def integer(x, minimum: int, name: str, maximum: int | None = None) -> int:
-    """x as an int in [minimum, maximum]; maximum None means unbounded."""
+_INT64_MAX = 2**63 - 1
+
+
+def integer(x, minimum: int, name: str, maximum: int = _INT64_MAX) -> int:
+    """x as an int in [minimum, maximum]; the default maximum is the int64
+    limit: NumPy draws and indexes with int64, and every int64 is a finite float."""
     if type(x) is not int:  # bool is a subclass of int, not int itself
         if not isinstance(x, np.integer):
             raise ValueError(f"{name} must be an integer, got {x!r}")
         x = int(x)
     if x < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {x}")
-    if maximum is not None and x > maximum:
+    if x > maximum:
         raise ValueError(f"{name} must be <= {maximum}, got {x}")
     return x
 

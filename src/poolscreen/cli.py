@@ -20,8 +20,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import designs, dilution, estimation, simulation, tables
 
 CONFIG_ENV_VAR = "POOLSCREEN_CONFIG"
@@ -76,24 +74,25 @@ def _emit(text: str, output: str | None) -> None:
         print(text)
 
 
-def _as_json(obj) -> str:
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        obj = dataclasses.asdict(obj)
+def _report(args, payload: dict, warnings=(), lines=None) -> int:
+    """Print a report: payload as sorted JSON, or as text - key: value lines
+    (payload's items unless lines are given), then one line per warning.
 
-    def default(o):
-        if isinstance(o, (np.integer,)):
-            return int(o)
-        if isinstance(o, (np.floating,)):
-            return float(o)
-        if isinstance(o, np.ndarray):
-            return o.tolist()
-        raise TypeError(f"not JSON serializable: {o!r}")
+    Every payload is a dict of plain Python values: the library's checks and
+    result types hand back int, float, bool and str, never NumPy scalars."""
+    if args.format == "json":
+        text = json.dumps(payload, sort_keys=True)
+    else:
+        text = "\n".join([f"{key}: {value}" for key, value in lines or payload.items()]
+                         + [f"warning: {w}" for w in warnings])
+    _emit(text, args.output)
+    return EXIT_OK
 
-    return json.dumps(obj, sort_keys=True, default=default)
 
-
-def _kv_lines(pairs) -> str:
-    return "\n".join(f"{key}: {value}" for key, value in pairs)
+def _scenario(args, pool_size: int, prevalence: float) -> dilution.DilutionScenario:
+    """The scenario of the --aliquot, --sample-volume and --concentration flags."""
+    return dilution.DilutionScenario(args.aliquot, args.sample_volume, args.concentration,
+                                     pool_size, prevalence)
 
 
 # ---------------------------------------------------------------------------
@@ -119,21 +118,15 @@ def _cmd_design(args) -> int:
     if design.kind == "individual":
         warnings.append("no pooled design beats individual testing at this prevalence")
 
-    pool = getattr(design, "batch_size", None) or getattr(design, "side", None)
-    if pool is not None and pool > 32:
+    # every design has a batch size >= 1 or a side >= 2
+    pool = getattr(design, "batch_size", None) or design.side
+    if pool > 32:
         warnings.append(
             f"recommended pool of {pool} exceeds 32 samples; dilution risk, monitor closely"
         )
-    if args.concentration is not None and pool is not None:
-        scenario = dilution.DilutionScenario(
-            aliquot_volume=args.aliquot,
-            sample_volume=args.sample_volume,
-            concentration=args.concentration,
-            pool_size=1,
-            prevalence=max(rho, 1e-12),
-        )
+    if args.concentration is not None:
         safe = dilution.max_pool_size_for_threshold(
-            scenario, args.fn_threshold, max_pool=max(pool, 1)
+            _scenario(args, 1, rho), args.fn_threshold, max_pool=pool
         )
         if pool > safe:
             warnings.append(
@@ -149,73 +142,59 @@ def _cmd_design(args) -> int:
         "efficiency_gain": best.individuals_per_test,
         "warnings": warnings,
     }
-    if args.format == "json":
-        _emit(_as_json(payload), args.output)
-    else:
-        lines = [
-            ("prevalence", f"{rho:g}"),
-            ("architecture", design.kind),
-            ("parameters", dataclasses.asdict(design)),
-            ("expected tests per person", f"{best.expected_tests_per_person:.5f}"),
-            ("efficiency gain", f"{best.individuals_per_test:.3f}"),
-        ]
-        text = _kv_lines(lines)
-        for w in warnings:
-            text += f"\nwarning: {w}"
-        _emit(text, args.output)
-    return EXIT_OK
+    return _report(args, payload, warnings, [
+        ("prevalence", f"{rho:g}"),
+        ("architecture", design.kind),
+        ("parameters", payload["design"]),
+        ("expected tests per person", f"{best.expected_tests_per_person:.5f}"),
+        ("efficiency gain", f"{best.individuals_per_test:.3f}"),
+    ])
+
+
+def _plan_payload(args) -> dict:
+    if args.prevalence_guess is None:
+        raise ValueError("--plan needs --prevalence-guess")
+    p = _parse_prevalence(args.prevalence_guess)
+    # only the weights given; CostModel supplies the others
+    weights = {name: value for name, value in (("sample_weight", args.sample_cost),
+                                               ("test_weight", args.test_cost))
+               if value is not None}
+    if not weights:
+        plan = estimation.gg_optimal_pool(p, target_nrmse=args.target_nrmse, cap=args.cap)
+        individual = estimation.gg_tests_needed(p, 1, args.target_nrmse)
+        report = estimation.report_for_plan(p, plan.pool_size, plan.num_pools)
+        return {
+            "mode": "plan",
+            "prevalence_guess": p,
+            "pool_size": plan.pool_size,
+            "num_pools": plan.num_pools,
+            "total_samples": plan.total_samples,
+            "predicted_nrmse": report.nrmse,
+            "individual_tests_needed": individual,
+            "efficiency_gain": individual / plan.num_pools,
+        }
+    # cost-aware planning: minimize sample_cost * samples + test_cost * tests
+    cost = estimation.CostModel(**weights)
+    caps = None if args.cap is None else designs.ConstraintSet(max_pool_size=args.cap)
+    optimum = estimation.gg_minimize_cost(p, cost, args.target_nrmse, caps=caps)
+    plan = optimum.plan
+    report = estimation.report_for_plan(p, plan.pool_size, plan.num_pools)
+    return {
+        "mode": "plan-cost",
+        "prevalence_guess": p,
+        "sample_cost": cost.sample_weight,
+        "test_cost": cost.test_weight,
+        "pool_size": plan.pool_size,
+        "num_pools": plan.num_pools,
+        "total_samples": optimum.total_samples,
+        "objective_value": optimum.objective_value,
+        "predicted_nrmse": report.nrmse,
+    }
 
 
 def _cmd_estimate(args) -> int:
     if args.plan:
-        if args.prevalence_guess is None:
-            raise ValueError("--plan needs --prevalence-guess")
-        p = _parse_prevalence(args.prevalence_guess)
-        if args.sample_cost is not None or args.test_cost is not None:
-            # cost-aware planning: minimize sample_cost * samples + test_cost * tests
-            cost = estimation.CostModel(
-                sample_weight=args.sample_cost if args.sample_cost is not None else 1.0,
-                test_weight=args.test_cost if args.test_cost is not None else 10.0,
-            )
-            caps = None
-            if args.cap is not None:
-                caps = designs.ConstraintSet(max_pool_size=args.cap)
-            optimum = estimation.gg_minimize_cost(p, cost, args.target_nrmse, caps=caps)
-            plan = optimum.plan
-            report = estimation.report_for_plan(p, plan.pool_size, plan.num_pools)
-            payload = {
-                "mode": "plan-cost",
-                "prevalence_guess": p,
-                "sample_cost": cost.sample_weight,
-                "test_cost": cost.test_weight,
-                "pool_size": plan.pool_size,
-                "num_pools": plan.num_pools,
-                "total_samples": optimum.total_samples,
-                "objective_value": optimum.objective_value,
-                "predicted_nrmse": report.nrmse,
-            }
-        else:
-            plan = estimation.gg_optimal_pool(
-                p, target_nrmse=args.target_nrmse, cap=args.cap
-            )
-            individual = estimation.gg_tests_needed(p, 1, args.target_nrmse)
-            report = estimation.report_for_plan(p, plan.pool_size, plan.num_pools)
-            payload = {
-                "mode": "plan",
-                "prevalence_guess": p,
-                "pool_size": plan.pool_size,
-                "num_pools": plan.num_pools,
-                "total_samples": plan.total_samples,
-                "predicted_nrmse": report.nrmse,
-                "individual_tests_needed": individual,
-                "efficiency_gain": individual / plan.num_pools,
-            }
-        if args.format == "json":
-            _emit(_as_json(payload), args.output)
-        else:
-            _emit(_kv_lines(payload.items()), args.output)
-        return EXIT_OK
-
+        return _report(args, _plan_payload(args))
     if args.pools is None or args.positive is None or args.pool_size is None:
         raise ValueError(
             "analysis mode needs --pools, --positive and --pool-size "
@@ -225,18 +204,11 @@ def _cmd_estimate(args) -> int:
         num_pools=args.pools, positive_pools=args.positive, pool_size=args.pool_size
     )
     report = estimation.report_for_outcome(outcome)
-    payload = {"mode": "analysis", **dataclasses.asdict(report)}
-    if args.format == "json":
-        _emit(_as_json(payload), args.output)
-    else:
-        text = _kv_lines(payload.items())
-        if report.saturated:
-            text += (
-                "\nwarning: every pool tested positive; the estimate saturates at "
-                "its ceiling and cannot distinguish high prevalences"
-            )
-        _emit(text, args.output)
-    return EXIT_OK
+    warnings = [
+        "every pool tested positive; the estimate saturates at its ceiling and "
+        "cannot distinguish high prevalences"
+    ] if report.saturated else []
+    return _report(args, {"mode": "analysis", **dataclasses.asdict(report)}, warnings)
 
 
 def _make_design(args):
@@ -259,42 +231,25 @@ def _make_design(args):
         return designs.HypercubeDesign(args.pool_size, dimension)
     if kind == "sterrett":
         return designs.SterrettDesign(args.pool_size)
-    if kind == "gibbs-gower":
-        if args.pools is None:
-            raise ValueError("gibbs-gower simulation needs --pools")
-        return estimation.GibbsGowerPlan(args.pool_size, args.pools)
-    raise ValueError(f"unknown design {kind!r}")
+    # argparse's choices leave only gibbs-gower
+    if args.pools is None:
+        raise ValueError("gibbs-gower simulation needs --pools")
+    return estimation.GibbsGowerPlan(args.pool_size, args.pools)
 
 
 def _cmd_simulate(args) -> int:
     p = _parse_prevalence(args.prevalence)
     design = _make_design(args)
-    noise = None
-    if args.concentration is not None:
-        noise = dilution.DilutionScenario(
-            aliquot_volume=args.aliquot,
-            sample_volume=args.sample_volume,
-            concentration=args.concentration,
-            pool_size=1,
-            prevalence=p,
-        )
-    summary = simulation.monte_carlo(
-        design,
-        p,
-        population_size=args.population,
-        reps=args.reps,
-        seed=args.seed,
-        noise=noise,
-        workers=args.workers,
-    )
+    noise = None if args.concentration is None else _scenario(args, 1, p)
+    summary = simulation.monte_carlo(design, p, population_size=args.population, reps=args.reps,
+                                     seed=args.seed, noise=noise, workers=args.workers)
     payload = {
         "design": {"kind": args.design, **dataclasses.asdict(design)},
         "prevalence": p,
         "seed": args.seed,
         **dataclasses.asdict(summary),
     }
-    _emit(_as_json(payload), args.output)
-    return EXIT_OK
+    return _report(args, payload)
 
 
 def _cmd_tables(args) -> int:
@@ -306,13 +261,7 @@ def _cmd_tables(args) -> int:
 
 def _cmd_dilution(args) -> int:
     p = _parse_prevalence(args.prevalence)
-    scenario = dilution.DilutionScenario(
-        aliquot_volume=args.aliquot,
-        sample_volume=args.sample_volume,
-        concentration=args.concentration,
-        pool_size=args.pool_size,
-        prevalence=p,
-    )
+    scenario = _scenario(args, args.pool_size, p)
     fn_individual = dilution.individual_false_negative_rate(scenario)
     fn_pooled = dilution.pooled_false_negative_rate(scenario)
     introduced = fn_pooled - fn_individual
@@ -327,17 +276,11 @@ def _cmd_dilution(args) -> int:
         "threshold": args.threshold,
         "max_safe_pool_size": safe,
     }
-    if args.format == "json":
-        _emit(_as_json(payload), args.output)
-    else:
-        text = _kv_lines(payload.items())
-        if introduced > args.threshold:
-            text += (
-                f"\nwarning: introduced false-negative rate {introduced:.3g} exceeds "
-                f"{args.threshold:g}; reduce the pool size to at most {safe}"
-            )
-        _emit(text, args.output)
-    return EXIT_OK
+    warnings = [
+        f"introduced false-negative rate {introduced:.3g} exceeds "
+        f"{args.threshold:g}; reduce the pool size to at most {safe}"
+    ] if introduced > args.threshold else []
+    return _report(args, payload, warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--workers", type=int, default=1)
     _add_dilution_scenario(p_sim, required=False)
     _add_output(p_sim)
-    p_sim.set_defaults(func=_cmd_simulate)
+    p_sim.set_defaults(func=_cmd_simulate, format="json")  # no --format: always JSON
 
     p_tab = commands.add_parser("tables", help="regenerate a reference table")
     p_tab.add_argument("table_id", choices=sorted(tables.TABLE_IDS))

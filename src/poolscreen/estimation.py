@@ -270,7 +270,7 @@ def gg_asymptotic_variance(p: float, b: int, t: int) -> float:
     """
     p = prob(p, open_zero=True, open_one=True)
     b = integer(b, 1, "pool size")
-    t = integer(t, 1, "pool count", 2**63)
+    t = integer(t, 1, "pool count")
     return exp_or_inf(_log_unit_variance(p, b) - math.log(t))
 
 
@@ -557,9 +557,13 @@ def estimation_rule_of_thumb(p_guess: float) -> GibbsGowerPlan:
     p = prob(p_guess, "prevalence guess", open_zero=True, open_one=True)
     if p > 0.5:
         raise ValueError(f"rule of thumb covers prevalences up to 0.5, got {p}")
-    if p <= 0.10:
-        return GibbsGowerPlan(8, _ceil_slack(6.0 / p))
-    return GibbsGowerPlan(4, _ceil_slack(12.0 / p))
+    b = 8 if p <= 0.10 else 4
+    return GibbsGowerPlan(b, _rule_of_thumb_pools(p, b))
+
+
+def _rule_of_thumb_pools(p: float, b: int) -> int:
+    """The rule of thumb's pool count for pools of b: 6/p pools of 8, 12/p of 4."""
+    return _ceil_slack({8: 6.0, 4: 12.0}[b] / p)
 
 
 def dorfman_estimation_rmse(p: float, num_tests: int) -> float:

@@ -152,8 +152,7 @@ _GUIDELINE_ROWS = ((0.001, 8), (0.01, 8), (0.05, 8), (0.10, 8), (0.10, 4), (0.30
 def _guidelines_nrmse() -> Table:
     rows = []
     for p, b in _GUIDELINE_ROWS:
-        pools_per_unit = 6.0 if b == 8 else 12.0
-        t = max(1, math.ceil(pools_per_unit / p * (1.0 - 1e-12)))
+        t = estimation._rule_of_thumb_pools(p, b)
         rows.append([p, b, t, estimation.gg_nrmse(p, b, t)])
     return Table(
         "guidelines-nrmse",

@@ -1,10 +1,16 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from poolscreen.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(capsys, *argv):
@@ -258,6 +264,16 @@ class TestSimulate:
         assert json.loads(out)["design"]["confirm_stage"] is False
         assert json.loads(run_cli(capsys, *args)[1])["design"]["confirm_stage"] is True
 
+    def test_pools_beyond_int64_exit_2(self, capsys):
+        # NumPy draws pool counts as int64
+        code, out, err = run_cli(
+            capsys, "simulate", "--design", "gibbs-gower", "--pool-size", "8",
+            "--pools", str(2**63), "--prevalence", "0.05", "--reps", "5",
+        )
+        assert code == 2
+        assert out == ""
+        assert "num_pools" in err
+
     def test_gibbs_gower_summary(self, capsys):
         code, out, _ = run_cli(
             capsys, "simulate", "--design", "gibbs-gower", "--pool-size", "8",
@@ -335,6 +351,12 @@ class TestDilution:
         )
         assert code == 2
 
+    def test_huge_pool_size_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, *self.BASE, "--pool-size", "9" * 300)
+        assert code == 2
+        assert out == ""
+        assert "pool_size" in err
+
 
 class TestConfigFile:
     def test_config_supplies_defaults(self, capsys, tmp_path):
@@ -368,14 +390,102 @@ class TestConfigFile:
 
 
 class TestJsonRoundTrip:
+    SIMULATE = ("simulate", "--prevalence", "0.05", "--reps", "50", "--seed", "2")
+    REPORTS = {
+        "design": ("design", "--prevalence", "0.02", "--format", "json"),
+        "design-all-candidates": ("design", "--prevalence", "0.002", "--cap", "64",
+                                  "--candidates", "dorfman,array,hypercube,sterrett",
+                                  "--format", "json"),
+        "estimate-analysis": ("estimate", "--pools", "6", "--positive", "2", "--pool-size", "7",
+                              "--format", "json"),
+        "estimate-plan": ("estimate", "--plan", "--prevalence-guess", "0.01", "--format", "json"),
+        "estimate-plan-cost": ("estimate", "--plan", "--prevalence-guess", "0.05",
+                               "--sample-cost", "1", "--test-cost", "10", "--format", "json"),
+        "dilution": ("dilution", "--concentration", "5", "--aliquot", "1", "--sample-volume",
+                     "20", "--prevalence", "0.01", "--pool-size", "10", "--format", "json"),
+        "simulate": (*SIMULATE, "--design", "dorfman", "--pool-size", "5", "--population", "100"),
+        "simulate-noisy": (*SIMULATE, "--design", "sterrett", "--pool-size", "9",
+                           "--population", "90", "--concentration", "5"),
+        "simulate-gibbs-gower": (*SIMULATE, "--design", "gibbs-gower", "--pool-size", "8",
+                                 "--pools", "120"),
+        "tables": ("tables", "exec-classification", "--format", "json"),
+    }
+
     def test_reports_round_trip(self, capsys):
-        for argv in (
-            ("design", "--prevalence", "0.02", "--format", "json"),
-            ("estimate", "--pools", "6", "--positive", "2", "--pool-size", "7",
-             "--format", "json"),
-            ("dilution", "--concentration", "5", "--aliquot", "1", "--sample-volume",
-             "20", "--prevalence", "0.01", "--pool-size", "10", "--format", "json"),
-        ):
-            _, out, _ = run_cli(capsys, *argv)
-            parsed = json.loads(out)
-            assert json.loads(json.dumps(parsed, sort_keys=True)) == parsed
+        # every payload is plain Python values, printed as sorted JSON
+        for name, argv in self.REPORTS.items():
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0, name
+            assert out == json.dumps(json.loads(out), sort_keys=True) + "\n", name
+
+
+def _kv(**pairs):
+    return "".join(f"{key}: {value}\n" for key, value in pairs.items())
+
+
+class TestExactText:
+    """The text reports, byte for byte."""
+
+    DILUTION = ("--concentration", "5", "--aliquot", "1", "--sample-volume", "20")
+    CASES = [
+        ("design-individual", ("design", "--prevalence", "0.5"),
+         "prevalence: 0.5\narchitecture: individual\nparameters: {'batch_size': 1}\n"
+         "expected tests per person: 1.00000\nefficiency gain: 1.000\n"
+         "warning: prevalence above 30%: pooling gives little or no benefit here\n"
+         "warning: no pooled design beats individual testing at this prevalence\n"),
+        ("design-dilution-safe",
+         ("design", "--prevalence", "0.01", *DILUTION, "--fn-threshold", "0.05"),
+         "prevalence: 0.01\narchitecture: dorfman\nparameters: {'batch_size': 8}\n"
+         "expected tests per person: 0.20226\nefficiency gain: 4.944\n"
+         "warning: recommended pool of 8 exceeds the dilution-safe size 1 for an "
+         "introduced false-negative threshold of 0.05\n"),
+        ("estimate-saturated",
+         ("estimate", "--pools", "10", "--positive", "10", "--pool-size", "8"),
+         _kv(mode="analysis", p_hat=1.0, pool_positive_rate_hat=1.0, expected_p_hat=None,
+             mse=None, asymptotic_variance=None, nrmse=None, saturated=True)
+         + "warning: every pool tested positive; the estimate saturates at its ceiling "
+           "and cannot distinguish high prevalences\n"),
+        ("estimate-plan",
+         ("estimate", "--plan", "--prevalence-guess", "0.01", "--target-nrmse", "0.15",
+          "--cap", "20"),
+         _kv(mode="plan", prevalence_guess=0.01, pool_size=20, num_pools=244,
+             total_samples=4880, predicted_nrmse=0.14992269805585554,
+             individual_tests_needed=4400, efficiency_gain=18.0327868852459)),
+        ("estimate-plan-cost",
+         ("estimate", "--plan", "--prevalence-guess", "0.05", "--sample-cost", "1",
+          "--test-cost", "10"),
+         _kv(mode="plan-cost", prevalence_guess=0.05, sample_cost=1.0, test_cost=10.0,
+             pool_size=13, num_pools=93, total_samples=1209, objective_value=2139.0,
+             predicted_nrmse=0.14946948165118884)),
+        ("dilution", ("dilution", *DILUTION, "--prevalence", "0.01", "--pool-size", "10"),
+         _kv(individual_false_negative_rate=0.005920529220334023,
+             pooled_false_negative_rate=0.5920133070819105,
+             introduced_false_negative_rate=0.5860927778615764, pool_size=10,
+             threshold=0.05, max_safe_pool_size=1)
+         + "warning: introduced false-negative rate 0.586 exceeds 0.05; reduce the pool "
+           "size to at most 1\n"),
+    ]
+
+    @pytest.mark.parametrize("argv, expected", [c[1:] for c in CASES],
+                             ids=[c[0] for c in CASES])
+    def test_text_report(self, capsys, argv, expected):
+        assert run_cli(capsys, *argv) == (0, expected, "")
+
+
+def test_command_runs_as_a_process(capsys):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    env.pop("POOLSCREEN_CONFIG", None)
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "poolscreen.cli", *argv], cwd=ROOT,
+                              env=env, capture_output=True, text=True, timeout=300)
+
+    tables = run("tables", "exec-classification")
+    assert tables.returncode == 0, tables.stderr
+    assert tables.stdout == run_cli(capsys, "tables", "exec-classification")[1]
+    assert run("design", "--prevalence", "150").returncode == 2
+    infeasible = run("estimate", "--plan", "--prevalence-guess", "0.01",
+                     "--target-nrmse", "0.0001")
+    assert infeasible.returncode == 3
+    assert "infeasible" in infeasible.stderr

@@ -101,6 +101,17 @@ BAD_CALLS = [
     ("CostModel-inf", lambda: e.CostModel(1.0, INF), "test_weight"),
     ("CostModel-str", lambda: e.CostModel("1"), "sample_weight"),
     ("CostModel-huge-int", lambda: e.CostModel(10**400), "sample_weight"),
+    # integers past int64 overflow float conversion and NumPy's draws
+    ("pool_positive_prob-huge-int", lambda: e.pool_positive_prob(0.05, 10**400), "pool size"),
+    ("dorfman_cost-huge-int", lambda: d.dorfman_expected_tests_per_person(0.05, 10**400),
+     "batch size"),
+    ("gg_tests_needed-huge-int", lambda: e.gg_tests_needed(0.05, 10**400, 0.15), "pool size"),
+    ("expected_positives-huge-int", lambda: dil.expected_positives_per_pool(10**400, 0.05),
+     "pool size"),
+    ("monte_carlo-pools-past-int64",
+     lambda: s.monte_carlo(e.GibbsGowerPlan(8, 2**63), 0.05, None, 3, 0), "num_pools"),
+    ("gg_asymptotic_variance-past-int64", lambda: e.gg_asymptotic_variance(0.05, 5, 2**63),
+     "pool count"),
     ("pool_positive_prob-str", lambda: e.pool_positive_prob("0.05", 5), "prevalence"),
     ("pool_positive_prob-float", lambda: e.pool_positive_prob(0.05, 5.0), "pool size"),
     ("gg_expected_estimate-nan", lambda: e.gg_expected_estimate(NAN, 5, 100), "prevalence"),
@@ -185,6 +196,11 @@ def test_bad_argument_raises_value_error_naming_it(call, name):
     with pytest.raises(ValueError) as info:
         call()
     assert name in str(info.value)
+
+
+def test_int64_limit_is_accepted():
+    assert e.gg_asymptotic_variance(0.05, 5, 2**63 - 1) > 0.0
+    assert e.GibbsGowerPlan(8, np.int64(2**63 - 1)).num_pools == 2**63 - 1
 
 
 # (id, function, arguments); every bool, int and float argument is replayed as
