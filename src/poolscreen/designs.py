@@ -132,7 +132,7 @@ class DorfmanDesign:
         if b == 1:
             return np.full(reps, n), None
         members = _unit_sizes(n, b)
-        return len(members) + _units(statuses, b).any(axis=2) @ members, None
+        return len(members) + _any_along(_units(statuses, b), 2) @ members, None
 
     def noisy_block(self, statuses: np.ndarray, miss: np.ndarray, uniforms: np.ndarray):
         """(tests, detected mask, positive pools, missed pools) per replication;
@@ -208,11 +208,13 @@ class SterrettDesign:
         member but the inferred last); otherwise k + l + 2 (k positive pools,
         l + 1 individual tests and the clean remainder pool).
         """
-        b = self.batch_size
-        batches = _units(statuses, b)
-        m = _unit_sizes(statuses.shape[1], b)
-        k = batches.sum(axis=2)
-        last = b - 1 - batches[:, :, ::-1].argmax(axis=2)
+        batches = _units(statuses, self.batch_size)
+        m = _unit_sizes(statuses.shape[1], self.batch_size)
+        k = batches[:, :, 0].astype(np.int64)
+        last = np.zeros(k.shape, dtype=np.int64)
+        for j in range(1, self.batch_size):  # like _any_along: b passes, no short-axis reductions
+            k += batches[:, :, j]
+            np.copyto(last, j, where=batches[:, :, j])
         tests = np.where(k == 0, 1, np.where(last == m - 1, k + m - 1, k + last + 2))
         return tests.sum(axis=1), None
 
@@ -535,6 +537,16 @@ def _units(statuses: np.ndarray, size: int) -> np.ndarray:
     return padded.reshape(reps, units, size)
 
 
+def _any_along(a: np.ndarray, axis: int) -> np.ndarray:
+    """a.any(axis), as one OR per slice along axis: over a short axis, each OR
+    then runs along the long ones, several times faster than the reduction."""
+    at = (slice(None),) * axis
+    out = a[at + (0,)].copy()
+    for i in range(1, a.shape[axis]):
+        out |= a[at + (i,)]
+    return out
+
+
 def _unit_sizes(n: int, size: int) -> np.ndarray:
     """Real members of each consecutive unit of `size` covering n people."""
     units = -(-n // size)
@@ -548,24 +560,25 @@ def _grid_block(statuses: np.ndarray, b: int, d: int, confirm: bool):
 
     Every axis-parallel line of each side-b cluster is pooled once; a cell is
     a candidate when every line through it pooled positive, and is retested
-    when confirm is true and presumed positive otherwise.  A line's
-    positivity is the OR of its b cells, taken slice by slice (any() over a
-    tiny strided axis is several times slower).
+    when confirm is true and presumed positive otherwise.  The clusters of all
+    rows are laid out cells first, shape (b,)*d + (clusters,), so a line's
+    positivity is the OR of b slices that each run along every cluster at
+    once, and the candidates are one broadcast AND of the d line arrays.
     """
     reps, n = statuses.shape
-    clusters = _units(statuses, b**d)
-    cubes = clusters.reshape((-1,) + (b,) * d)
-    cand = np.ones(cubes.shape, dtype=bool)
-    for axis in range(1, d + 1):
-        lines = cubes.take([0], axis)
-        for i in range(1, b):
-            lines |= cubes.take([i], axis)
-        cand &= lines
-    line_tests = clusters.shape[1] * d * b ** (d - 1)
-    cand = cand.reshape(reps, -1)[:, :n]
+    size = b**d
+    units = -(-n // size)
+    cells = np.ascontiguousarray(_units(statuses, size).transpose(2, 0, 1))
+    cells = cells.reshape((b,) * d + (reps * units,))
+    cand = True
+    for axis in range(d):
+        cand = cand & np.expand_dims(_any_along(cells, axis), axis)
+    line_tests = units * d * b ** (d - 1)
+    cand = cand.reshape(size, reps, units)
     if confirm:
-        return line_tests + cand.sum(axis=1), None
-    return np.full(reps, line_tests), cand
+        cand[n - (units - 1) * size :, :, -1] = False  # padded cells of the tail cluster
+        return line_tests + cand.sum(axis=(0, 2)), None
+    return np.full(reps, line_tests), cand.transpose(1, 2, 0).reshape(reps, -1)[:, :n]
 
 
 def _noisy_units(statuses: np.ndarray, b: int, miss: np.ndarray, uniforms: np.ndarray):

@@ -27,6 +27,10 @@ to bound memory, every block is drawn and reduced a few rows at a time, and
 consecutive draws read each stream in the same order as one whole draw
 would.
 
+Statuses are raw 64-bit Philox words compared with an integer cut (see
+_status_cut), bit-identical to rng.random() < p on the same stream but with
+no conversion to floats; the dilution noise is drawn as uniforms.
+
 Pool membership is consecutive-block assignment; statuses are i.i.d., so any
 assignment rule yields the same distribution.  Populations that do not divide
 evenly are padded with known-negative placeholders that are excluded from
@@ -64,9 +68,10 @@ __all__ = [
 #: each replication reads, i.e. it is part of the reproducibility contract.
 BLOCK_REPS = 4096
 
-# Bytes of status uniforms drawn at once (a noisy block draws twice as many
-# noise uniforms alongside).  Blocks are drawn and reduced in row sub-chunks of
-# this size, so the working set is bounded whatever the population size.
+# Bytes of raw status words drawn at once, 8 per person (a noisy block draws
+# twice as many noise uniforms alongside).  Blocks are drawn and reduced in row
+# sub-chunks of this size, so the working set is bounded whatever the
+# population size.
 _DRAW_BYTES = 8 << 20
 
 
@@ -88,15 +93,28 @@ class MonteCarloSummary:
     pool_miss_rate: float | None = None  # noise runs: observed pooled miss rate
 
 
+def _status_cut(p: float) -> int:
+    """The raw-word cut of Bernoulli(p) statuses: a raw Philox word x, which
+    rng.random() turns into u = (x >> 11) * 2**-53, gives u < p exactly when
+    x < ceil(p * 2**53) << 11.  Only p = 1 gives a cut past every word, 2**64."""
+    return math.ceil(p * 2**53) << 11
+
+
 def _draw_rows(rng: np.random.Generator, lo: int, hi: int, n: int, p: float, unit: int):
     """Yield (rows, statuses) for rows lo..hi-1 of n Bernoulli(p) statuses each,
-    in sub-chunks of at most _DRAW_BYTES of uniforms (at least one row), counted
-    on rows padded to whole units of `unit` people as the kernels pad them.  The
-    chunks read rng's stream in the same order as one rng.random((hi - lo, n))."""
+    in sub-chunks of at most _DRAW_BYTES of raw words (at least one row),
+    counted on rows padded to whole units of `unit` people as the kernels pad
+    them.  Each status compares one raw word with _status_cut(p), so the
+    statuses are bit-identical to rng.random((hi - lo, n)) < p, and the chunks
+    read rng's stream in the same order as that one draw."""
+    cut = _status_cut(p)
     step = max(1, _DRAW_BYTES // (8 * -(-n // unit) * unit))
     for a in range(lo, hi, step):
         z = min(a + step, hi)
-        yield slice(a, z), rng.random((z - a, n)) < p
+        words = rng.bit_generator.random_raw((z - a, n))
+        statuses = words < np.uint64(cut) if cut < 1 << 64 else np.ones(words.shape, bool)
+        del words  # not held while the kernel runs
+        yield slice(a, z), statuses
 
 
 # ---------------------------------------------------------------------------
@@ -131,8 +149,9 @@ def monte_carlo(
     """Run a design `reps` times on fresh populations and aggregate.
 
     Classification designs need population_size; a Gibbs-Gower plan fixes its
-    own sample count.  The dilution model behind `noise` is evaluated at the
-    run's prevalence p; the scenario's own prevalence field is not used.
+    own sample count and takes None.  The dilution model behind `noise` is
+    evaluated at the run's prevalence p; the scenario's own prevalence field
+    is not used.
     Identical arguments give bit-identical summaries for any worker count.
     """
     p = prob(p)
@@ -144,6 +163,9 @@ def monte_carlo(
         raise ValueError("dilution noise is modeled for Dorfman and Sterrett runs only")
 
     if isinstance(design, GibbsGowerPlan):
+        if population_size is not None:
+            raise ValueError("a Gibbs-Gower plan fixes its own sample count: "
+                             f"population_size must be None, got {population_size!r}")
         return _monte_carlo_estimation(design, p, reps, seed, workers)
     if not isinstance(design, _CLASSIFICATION_DESIGNS):
         raise ValueError(f"unsupported design {design!r}")
@@ -201,7 +223,6 @@ def _monte_carlo_classification(design, p, n, reps, seed, noise, workers):
         if noise is not None:
             noise_rng = _block_rng(seed, block, stream=1)
         for rows, statuses in _draw_rows(rng, lo, hi, n, p, design._unit):
-            n_pos[rows] = statuses.sum(axis=1)
             if noise is None:
                 tests[rows], positive = design.block(statuses)
             else:
@@ -210,7 +231,10 @@ def _monte_carlo_classification(design, p, n, reps, seed, noise, workers):
                 tests[rows], positive, pool_pos[rows], pool_missed[rows] = design.noisy_block(
                     statuses, miss, uniforms
                 )
+            # without a mask every status is confirmed: sensitivity and
+            # specificity are 1 whatever the positives count, so none is taken
             if positive is not None:
+                n_pos[rows] = statuses.sum(axis=1)
                 fn[rows] = (statuses & ~positive).sum(axis=1)
                 fp[rows] = (positive & ~statuses).sum(axis=1)
 

@@ -8,7 +8,7 @@ import tracemalloc
 
 import pytest
 
-from poolscreen.designs import DorfmanDesign, HypercubeDesign
+from poolscreen.designs import ArrayDesign, DorfmanDesign, HypercubeDesign
 from poolscreen.dilution import DilutionScenario
 from poolscreen.estimation import gg_optimal_pool
 from poolscreen.simulation import monte_carlo
@@ -16,9 +16,14 @@ from poolscreen.simulation import monte_carlo
 LIMIT = 64 << 20  # bytes
 
 CALLS = [
-    # a full 4096-replication block of 20,000 people: 655 MB of uniforms if
+    # a full 4096-replication block of 20,000 people: 655 MB of raw words if
     # drawn whole
     ("monte_carlo", lambda: monte_carlo(DorfmanDesign(10), 0.01, 20_000, 4096, seed=1)),
+    # the grid kernel lays each sub-chunk's clusters out cells first, a
+    # transposed copy; 312 clusters of 8 x 8 per replication
+    ("monte_carlo-array", lambda: monte_carlo(ArrayDesign(8), 0.01, 19_968, 4096, seed=1)),
+    ("monte_carlo-array-presumed",
+     lambda: monte_carlo(ArrayDesign(8, confirm_stage=False), 0.01, 19_968, 4096, seed=1)),
     # a noisy block also draws two noise uniforms per person and replication
     ("monte_carlo-noisy", lambda: monte_carlo(DorfmanDesign(10), 0.01, 2_000, 4096, seed=1,
                                               noise=DilutionScenario(1.0, 20.0, 5.0, 1, 0.01))),

@@ -1,6 +1,7 @@
 """Unit tests for the Monte Carlo harness and the design kernels."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -56,6 +57,45 @@ class TestPopulations:
         count = int(draw(1_000_000, 0.01, seed=7).sum())
         sd = math.sqrt(1_000_000 * 0.01 * 0.99)
         assert abs(count - 10_000) <= 3 * sd
+
+    @pytest.mark.parametrize("p", [
+        5e-324, 2.0**-53, 3 * 2.0**-53, math.nextafter(3 * 2.0**-53, 0.0),
+        math.nextafter(3 * 2.0**-53, 1.0), 0.0175, 0.1, 0.5, math.nextafter(1.0, 0.0),
+    ])
+    def test_status_cut_at_boundary_words(self, p):
+        # a raw word x is a positive status exactly when rng.random()'s
+        # (x >> 11) * 2**-53 is below p; random draws land on the boundary
+        # words with probability 2**-53, so they are checked here one by one
+        c = math.ceil(p * 2**53)
+        words = [((c - 1) << 11) + 2047, c << 11, (c - 1) << 11]
+        expected = [(x >> 11) * 2.0**-53 < p for x in words]
+        cut = simulation._status_cut(p)
+        assert [x < cut for x in words] == expected
+        assert list(np.array(words, dtype=np.uint64) < np.uint64(cut)) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        p=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        rows=st.integers(1, 40),
+        n=st.integers(1, 40),
+        unit=st.integers(1, 50),
+        rows_per_chunk=st.integers(1, 20),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_draw_rows_match_uniform_draws(self, p, rows, n, unit, rows_per_chunk, seed):
+        # statuses from raw words, drawn in sub-chunks, equal rng.random() < p
+        # on a twin generator, and leave the stream where one whole draw of
+        # uniforms leaves it
+        rng, twin = simulation._block_rng(seed, 3), simulation._block_rng(seed, 3)
+        budget = 8 * -(-n // unit) * unit * rows_per_chunk
+        with mock.patch.object(simulation, "_DRAW_BYTES", budget):
+            chunks = list(simulation._draw_rows(rng, 5, 5 + rows, n, p, unit))
+        assert [r for r, _ in chunks] == [
+            slice(a, min(a + rows_per_chunk, 5 + rows)) for a in range(5, 5 + rows, rows_per_chunk)
+        ]
+        statuses = np.vstack([s for _, s in chunks])
+        assert np.array_equal(statuses, twin.random((rows, n)) < p)
+        assert rng.random() == twin.random()
 
     def test_validation(self, monkeypatch):
         # an empty population is rejected before any status is drawn
@@ -238,12 +278,19 @@ class TestKernelProperties:
     @settings(max_examples=100, deadline=None)
     @given(
         shape=st.one_of(
-            st.tuples(st.integers(2, 40), st.just(2)), st.tuples(st.integers(2, 16), st.just(3))
+            st.tuples(st.integers(2, 40), st.just(2)),
+            st.tuples(st.integers(2, 16), st.just(3)),
+            st.tuples(st.integers(2, 5), st.just(4)),
+            st.tuples(st.integers(2, 3), st.just(5)),
         ),
         confirm=st.booleans(),
         statuses=status_blocks(),
     )
     @example(shape=(4, 2), confirm=False, statuses=np.eye(16, dtype=bool)[[0]] | np.eye(16, dtype=bool)[[5]])
+    # ragged tail clusters whose padded cells lie on positive lines only: they
+    # must not be counted (confirm), nor shift the presumed mask
+    @example(shape=(3, 3), confirm=True, statuses=np.ones((1, 53), dtype=bool))
+    @example(shape=(4, 2), confirm=False, statuses=np.ones((1, 30), dtype=bool))
     def test_grid_kernel_matches_literal(self, shape, confirm, statuses):
         side, dim = shape
         block = designs._grid_block(statuses, side, dim, confirm)

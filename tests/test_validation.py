@@ -167,6 +167,11 @@ BAD_CALLS = [
      lambda: s.monte_carlo(d.ArrayDesign(8), 0.05, 64, 10, seed=0, noise=scenario()), "noise"),
     ("monte_carlo-noise-str",
      lambda: s.monte_carlo(d.DorfmanDesign(4), 0.05, 40, 10, 1, noise="x"), "noise"),
+    # a Gibbs-Gower plan fixes its own sample count
+    ("monte_carlo-gibbs-gower-population",
+     lambda: s.monte_carlo(e.GibbsGowerPlan(8, 100), 0.05, 123, 10, 0), "population_size"),
+    ("monte_carlo-gibbs-gower-population-zero",
+     lambda: s.monte_carlo(e.GibbsGowerPlan(8, 100), 0.05, 0, 10, 0), "population_size"),
     ("monte_carlo-str", lambda: s.monte_carlo(d.DorfmanDesign(5), "0.05", 100, 10, seed=0),
      "prevalence"),
     ("monte_carlo-nan", lambda: s.monte_carlo(d.DorfmanDesign(5), NAN, 100, 10, seed=0),
