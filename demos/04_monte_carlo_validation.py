@@ -38,7 +38,7 @@ print(f"  formula {dorfman_expected_tests_per_person(0.05, 5):.5f}"
 
 out = monte_carlo(SterrettDesign(9), 0.03, 90, REPS, seed=102)
 print(f"Sterrett, pools of 9 @ 3% prevalence")
-print(f"  recursion {sterrett_expected_tests_per_batch(0.03, 9) / 9:.5f}"
+print(f"  closed form {sterrett_expected_tests_per_batch(0.03, 9) / 9:.5f}"
       f"  simulated {out.mean_tests:.5f} (se {out.se_tests:.5f})")
 
 plan = GibbsGowerPlan(28, 100)

@@ -10,9 +10,9 @@ Schemes covered:
   positive pool is retested individually.  Cost 1/b + 1 - (1-rho)^b.
 * Sterrett testing: like Dorfman, but members of a positive pool are tested
   one at a time; after the first positive individual is found the untested
-  remainder is re-pooled and the procedure restarts on it.  No simple closed
-  form; an exact recursion is provided (the tests check it against a
-  brute-force pattern enumeration).
+  remainder is re-pooled and the procedure restarts on it.  Its recursion
+  telescopes to a closed form (the tests check it against the recursion and
+  a brute-force pattern enumeration).
 * Array testing: a cluster of b*b samples is laid out on a grid, every row and
   every column is pooled, and cells whose row and column both test positive
   are either retested individually (confirm stage) or presumed positive.
@@ -78,7 +78,7 @@ DEFAULT_BATCH_CAP = 64
 
 _INV_E = math.exp(-1.0)
 
-_STERRETT_MAX_BATCH = 4096  # the recursion is quadratic in the batch size
+_STERRETT_MAX_BATCH = 4096  # the optimizer's cap: its scan is linear in the cap
 
 
 # ---------------------------------------------------------------------------
@@ -230,24 +230,25 @@ class SterrettDesign:
         batches, pool_u, ind_hit, m = _noisy_units(statuses, self.batch_size, miss, uniforms)
         seg_positive = np.logical_or.accumulate(batches[:, :, ::-1], axis=2)[:, :, ::-1]
         detected = np.zeros(batches.shape, dtype=bool)
-        tests, pools, missed = np.zeros((3, reps), dtype=np.int64)
+        tests, pools, missed = np.zeros((3,) + batches.shape[:2], dtype=np.int64)
         need_pool = np.ones(batches.shape[:2], dtype=bool)
         walking = np.zeros(batches.shape[:2], dtype=bool)
         for j in range(self.batch_size):
             positive = need_pool & seg_positive[:, :, j]
             flagged = positive & (pool_u[:, :, j] >= miss[np.maximum(m - j, 0)])
-            tests += need_pool.sum(axis=1)
-            pools += positive.sum(axis=1)
-            missed += (positive & ~flagged).sum(axis=1)
+            tests += need_pool
+            pools += positive
+            missed += positive & ~flagged
             walking |= flagged
             last = j == m - 1
             detected[:, :, j] = walking & last
             walking &= ~last
-            tests += walking.sum(axis=1)
+            tests += walking
             need_pool = walking & ind_hit[:, :, j]
             detected[:, :, j] |= need_pool
             walking &= ~need_pool
-        return tests, detected.reshape(reps, -1)[:, :n], pools, missed
+        return (tests.sum(axis=1), detected.reshape(reps, -1)[:, :n],
+                pools.sum(axis=1), missed.sum(axis=1))
 
 
 @dataclass(frozen=True)
@@ -358,15 +359,15 @@ def array_expected_tests_per_person(rho: float, b: int, confirm_stage: bool = Tr
     """Expected tests per person for b-by-b array testing.
 
     With the confirmation stage this is the standard approximation
-    2/b + (1 - (1-rho)^b)^2, which treats the number of positive rows and
-    positive columns as independent.  The presumptive variant skips the
-    confirmation retests and costs exactly 2/b.
+    2/b + (1 - (1-rho)^b)^2, the hypercube formula at d = 2, which treats the
+    number of positive rows and positive columns as independent.  The
+    presumptive variant skips the confirmation retests and costs exactly 2/b.
     """
     rho = prob(rho)
     b = integer(b, 2, "array side")
     if not boolean(confirm_stage, "confirm_stage"):
         return 2.0 / b
-    return 2.0 / b + positive_fraction(rho, b) ** 2
+    return hypercube_expected_tests_per_person(rho, b, 2)
 
 
 def array_expected_tests_exact(rho: float, b: int) -> float:
@@ -382,13 +383,7 @@ def array_expected_tests_exact(rho: float, b: int) -> float:
 def array_optimal_side(rho: float, constraints: ConstraintSet | None = None) -> ArrayDesign:
     """Side length minimizing the approximate array cost, exhaustively."""
     rho = prob(rho, open_zero=True, open_one=True)
-    cons = _constraints(constraints)
-    cap = cons.pool_cap()
-    if cons.max_cluster_size is not None:
-        cap = min(cap, int(math.isqrt(cons.max_cluster_size)))
-    return ArrayDesign(
-        _best_size(lambda b: array_expected_tests_per_person(rho, b), cap, "array side")
-    )
+    return ArrayDesign(_optimal_side(rho, 2, constraints, "array side"))
 
 
 # ---------------------------------------------------------------------------
@@ -435,14 +430,17 @@ def hypercube_optimal_side(
     """Side length minimizing the approximate hypercube cost, exhaustively."""
     rho = prob(rho, open_zero=True, open_one=True)
     d = integer(d, 2, "hypercube dimension")
+    return HypercubeDesign(_optimal_side(rho, d, constraints, "hypercube side"), d)
+
+
+def _optimal_side(rho: float, d: int, constraints: ConstraintSet | None, what: str) -> int:
+    """Side in 2..cap minimizing the approximate d-dimensional grid cost, for
+    checked rho and d; a cluster cap bounds the side by its integer d-th root."""
     cons = _constraints(constraints)
     cap = cons.pool_cap()
     if cons.max_cluster_size is not None:
         cap = min(cap, _integer_root(cons.max_cluster_size, d))
-    side = _best_size(
-        lambda b: hypercube_expected_tests_per_person(rho, b, d), cap, "hypercube side"
-    )
-    return HypercubeDesign(side, d)
+    return _best_size(lambda b: hypercube_expected_tests_per_person(rho, b, d), cap, what)
 
 
 def _integer_root(n: int, d: int) -> int:
@@ -475,50 +473,46 @@ def independence_gap(rho: float, b: int, d: int = 2) -> float:
 def sterrett_expected_tests_per_batch(rho: float, b: int) -> float:
     """Exact expected tests to resolve one batch of b under Sterrett testing.
 
-    Recursion over the position of the first positive in a positive pool.
-    Once a positive individual is found, the untested remainder carries no
-    conditioning and is processed as a fresh batch; and when every individual
-    but the last in a positive pool has tested negative, the last one is
-    positive by inference and needs no test.  With f(0) = 0, f(1) = 1:
+    After a walk finds a positive the untested remainder is a fresh batch, and
+    a walk that finds only negatives infers its last member positive without
+    a test.  Conditioning on the first positive's position gives a recursion
+    (tests/literal_procedures.py) whose differences telescope, with q = 1 - rho
+    and f(1) = 1: f(m+1) - f(m) = 1 + rho - q^(m+1).  So, with n = b - 1,
 
-        f(m) = 1 + sum_{j=1..m-1} q^(j-1) rho (j + f(m-j)) + q^(m-1) rho (m-1)
+        f(b) = 1 + n (1 + rho) - q^2 (1 - q^n) / rho = 1 + n rho (3 - rho) + q^2 g,
 
-    Agrees to machine precision with brute-force enumeration of all 2^b
-    infection patterns, the oracle in tests/literal_procedures.py.
+    where g = n - (1 - q^n) / rho = sum_{k<n} (1 - q^k) >= 0, and f = 1 at
+    rho = 0.  Below n rho = 1 the difference in g cancels, so it is summed as
+    sum_{j>=1} (-1)^(j+1) C(n, j+1) rho^j, whose terms fall faster than n rho.
     """
     rho = prob(rho)
-    b = integer(b, 1, "batch size", maximum=_STERRETT_MAX_BATCH)
-    return _sterrett_costs(rho, b)[b]
-
-
-def _sterrett_costs(rho: float, b: int) -> list[float]:
-    """f(0..b) of the Sterrett recursion, for checked rho and b; O(b^2)."""
-    q = 1.0 - rho
-    f = [0.0] * (b + 1)
-    for m in range(1, b + 1):
-        total = 1.0
-        qj = 1.0  # q^(j-1)
-        for j in range(1, m):
-            total += qj * rho * (j + f[m - j])
-            qj *= q
-        total += qj * rho * (m - 1)
-        f[m] = total
-    return f
+    n = integer(b, 1, "batch size") - 1
+    if n * rho >= 1.0:
+        g = n - positive_fraction(rho, n) / rho
+    else:
+        g, term, j = 0.0, 0.5 * n * (n - 1) * rho, 1
+        while g + term != g:
+            g += term
+            j += 1
+            term *= -rho * (n - j) / (j + 1)
+    return 1.0 + n * rho * (3.0 - rho) + (1.0 - rho) ** 2 * g
 
 
 def sterrett_optimal_batch(rho: float, constraints: ConstraintSet | None = None) -> SterrettDesign:
     """Batch size minimizing Sterrett tests per person, by exhaustive search.
 
-    One run of the recursion up to the cap prices every size, so the search
-    is O(cap^2); caps above 4096, the recursion's bound, are rejected.
+    Searches b in [2, cap] (cap from constraints, default 64) as
+    dorfman_optimal_batch does; ties go to the smaller batch.  The scan is
+    linear in the cap, so caps above 4096 are rejected before any work.
     """
     rho = prob(rho, open_zero=True, open_one=True)
     cap = _constraints(constraints).pool_cap()
     if cap > _STERRETT_MAX_BATCH:
-        raise ValueError(f"Sterrett pool cap {cap} is above the recursion's bound, "
+        raise ValueError(f"Sterrett pool cap {cap} is above the search bound, "
                          f"{_STERRETT_MAX_BATCH}")
-    f = _sterrett_costs(rho, cap)
-    return SterrettDesign(_best_size(lambda b: f[b] / b, cap, "batch size"))
+    return SterrettDesign(
+        _best_size(lambda b: sterrett_expected_tests_per_batch(rho, b) / b, cap, "batch size")
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -653,10 +647,6 @@ def best_classification_design(
     )
 
 
-def _capped_dorfman_cost(rho: float, cap: int) -> float:
-    return dorfman_optimal_batch(rho, ConstraintSet(max_pool_size=cap)).cost(rho)
-
-
 def classification_crossovers(
     dorfman_cap: int = 8,
     array_side: int = 8,
@@ -678,11 +668,11 @@ def classification_crossovers(
     if not lo < hi:
         raise ValueError(f"lo must be below hi, got lo={lo!r}, hi={hi!r}")
     grid = integer(grid, 2, "grid")
+    cons = ConstraintSet(max_pool_size=dorfman_cap)
 
     def diff(rho: float) -> float:
-        return _capped_dorfman_cost(rho, dorfman_cap) - array_expected_tests_per_person(
-            rho, array_side
-        )
+        return (dorfman_optimal_batch(rho, cons).cost(rho)
+                - array_expected_tests_per_person(rho, array_side))
 
     rhos = np.linspace(lo, hi, grid)
     values = np.array([diff(r) for r in rhos])

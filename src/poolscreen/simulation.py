@@ -45,6 +45,7 @@ False positives are not modeled.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -175,6 +176,13 @@ def monte_carlo(
     return _monte_carlo_classification(design, p, n, reps, seed, noise, workers)
 
 
+@functools.cache
+def _thread_pool(workers: int) -> ThreadPoolExecutor:
+    """One pool per worker count, kept across calls: its threads keep their
+    malloc arenas, where fresh threads for every call would make new ones."""
+    return ThreadPoolExecutor(max_workers=workers)
+
+
 def _run_blocks(fn, reps: int, workers: int):
     """Call fn((block, (lo, hi))) on every block of replications."""
     blocks = list(enumerate((lo, min(lo + BLOCK_REPS, reps)) for lo in range(0, reps, BLOCK_REPS)))
@@ -182,8 +190,7 @@ def _run_blocks(fn, reps: int, workers: int):
         for item in blocks:
             fn(item)
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fn, blocks))
+        list(_thread_pool(workers).map(fn, blocks))
 
 
 def _monte_carlo_estimation(plan, p, reps, seed, workers):

@@ -14,12 +14,13 @@ of poolscreen.designs._noisy_units: a pool test on the segment starting at
 person j reads uniforms[0, j] and misses a positive segment of size k when
 it is below miss[k]; the individual test of person j reads uniforms[1, j].
 
-Two more oracles check closed forms and shortcuts of the library:
+More oracles check closed forms and shortcuts of the library:
 sterrett_expected_tests_enumerated prices every one of the 2^b infection
-patterns of a batch with the literal walk, against the Sterrett recursion;
-and gibbs_gower draws every sample of every pool of a Gibbs-Gower study,
-against the binomial shortcut the Monte Carlo harness draws positive-pool
-counts with.
+patterns of a batch with the literal walk, and sterrett_expected_tests_recursive
+runs the O(b^2) recursion over the first positive's position to large b,
+both against the Sterrett closed form; and gibbs_gower draws every sample of
+every pool of a Gibbs-Gower study, against the binomial shortcut the Monte
+Carlo harness draws positive-pool counts with.
 """
 
 import numpy as np
@@ -85,6 +86,27 @@ def sterrett_expected_tests_enumerated(rho: float, b: int) -> float:
         k = sum(pattern)
         total += rho ** k * q ** (b - k) * sterrett_tests_for_pattern(pattern)
     return total
+
+
+def sterrett_expected_tests_recursive(rho: float, b_max: int) -> np.ndarray:
+    """f[0..b_max], the exact Sterrett expectation of every batch size, by the
+    recursion over the position j of the first positive in a positive pool:
+    after it the untested remainder is a fresh batch, and a walk that finds
+    only negatives infers its last member positive.  f[0] = 0 and
+
+        f(m) = 1 + sum_{j=1..m-1} q^(j-1) rho (j + f(m-j)) + q^(m-1) rho (m-1).
+
+    O(b_max^2) work, one vectorized sum over j per size.
+    """
+    rho = prob(rho)
+    b_max = integer(b_max, 0, "b_max")
+    weights = rho * (1.0 - rho) ** np.arange(b_max)  # q^(j-1) rho, j = 1..b_max
+    j = np.arange(1, b_max + 1)
+    f = np.zeros(b_max + 1)
+    for m in range(1, b_max + 1):
+        walk = weights[: m - 1] @ (j[: m - 1] + f[m - 1 : 0 : -1])
+        f[m] = 1.0 + walk + weights[m - 1] * (m - 1)
+    return f
 
 
 def sterrett(statuses, b):

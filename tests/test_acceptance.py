@@ -312,7 +312,7 @@ def test_criterion_09_dorfman_and_sterrett_match_simulation():
     ]
     for rho, b, seed in sterrett_points:
         out = monte_carlo(SterrettDesign(b), rho, 10 * b, REPS, seed=seed)
-        if b <= 15:  # brute-force oracle; the recursion is proven equal to it
+        if b <= 15:  # brute-force oracle; the closed form is checked equal to it
             expected = sterrett_expected_tests_enumerated(rho, b) / b
         else:
             expected = sterrett_expected_tests_per_batch(rho, b) / b

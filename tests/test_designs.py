@@ -8,7 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from literal_procedures import sterrett_expected_tests_enumerated
+from literal_procedures import (
+    sterrett_expected_tests_enumerated,
+    sterrett_expected_tests_recursive,
+)
 
 from poolscreen import designs
 from poolscreen.designs import (
@@ -288,11 +291,44 @@ class TestHypercube:
 # Sterrett testing
 # ---------------------------------------------------------------------------
 
+# the edges of the prevalence range and a sweep between them
+STERRETT_EDGE_RHOS = (5e-324, 1e-300, 1e-9, 1e-6, 1e-3, 0.01, 0.1, 0.3, 0.5, 0.9, 0.999,
+                      math.nextafter(1.0, 0.0), 1.0)
+
+
 class TestSterrett:
     def test_zero_prevalence_single_pool_test(self):
         assert sterrett_expected_tests_per_batch(0.0, 5) == 1.0
 
-    def test_recursion_matches_enumeration(self):
+    @pytest.mark.parametrize("rho", STERRETT_EDGE_RHOS)
+    def test_closed_form_matches_recursion(self, rho):
+        recursion = sterrett_expected_tests_recursive(rho, 4096)
+        closed = [sterrett_expected_tests_per_batch(rho, b) for b in range(1, 4097)]
+        np.testing.assert_allclose(closed, recursion[1:], rtol=1e-12, atol=0.0)
+
+    def test_single_member_batch_and_certain_positives(self):
+        for rho in (0.0,) + STERRETT_EDGE_RHOS:
+            assert sterrett_expected_tests_per_batch(rho, 1) == 1.0
+        # every pool is positive and every walk runs to its inferred last member
+        for b in (1, 2, 9, 4096):
+            assert sterrett_expected_tests_per_batch(1.0, b) == 2 * b - 1
+
+    @pytest.mark.parametrize("b, rho", [(10**6, 1e-4), (10**6, 1e-12), (2**62, 1e-12),
+                                        (2**62, 1e-300), (2**63 - 1, 5e-324)])
+    def test_prices_batches_of_any_size(self, b, rho):
+        cost = sterrett_expected_tests_per_batch(rho, b)
+        assert 1.0 <= cost and cost / b < 1.0 + rho
+
+    def test_no_cancellation_at_huge_batches(self):
+        # n rho is tiny, so f = 1 + 3 n rho + C(n, 2) rho + O((n rho)^2 n): the
+        # two terms of the plain closed form would cancel to about n ulps here
+        n = 10**8 - 1
+        rho = 1e-20
+        expected = 1.0 + 3.0 * n * rho + n * (n - 1) / 2 * rho
+        assert sterrett_expected_tests_per_batch(rho, n + 1) == pytest.approx(expected, rel=1e-15)
+        assert sterrett_expected_tests_per_batch(1e-300, 2**62) == 1.0
+
+    def test_closed_form_matches_enumeration(self):
         for rho in (0.01, 0.05, 0.1, 0.3, 0.5, 0.9):
             for b in (2, 3, 5, 8, 11):
                 assert sterrett_expected_tests_per_batch(rho, b) == pytest.approx(
@@ -312,8 +348,7 @@ class TestSterrett:
         with pytest.raises(ValueError):
             sterrett_expected_tests_enumerated(0.1, 21)
 
-    def test_optimizer_rejects_cap_above_recursion_bound(self):
-        # raised before pricing any size: 4096 alone takes about a second
+    def test_optimizer_rejects_cap_above_search_bound(self):
         with pytest.raises(ValueError, match="5000"):
             sterrett_optimal_batch(0.01, ConstraintSet(max_pool_size=5000))
         assert sterrett_optimal_batch(0.3, ConstraintSet(max_pool_size=4096)).batch_size == 2
@@ -395,10 +430,9 @@ class TestOptimizersMinimizeTheirCost:
         )
         assert designs.hypercube_optimal_side(rho, d, cons) == HypercubeDesign(expected, d)
 
-    @settings(deadline=None, max_examples=15)
+    @settings(deadline=None, max_examples=100)
     @given(PREVALENCES, st.integers(min_value=1, max_value=300))
     def test_sterrett(self, rho, cap):
-        # the reference prices each size with its own recursion: cubic in the cap
         cons = ConstraintSet(max_pool_size=cap)
         if cap < 2:
             with pytest.raises(ValueError, match="batch size"):

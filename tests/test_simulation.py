@@ -1,6 +1,8 @@
 """Unit tests for the Monte Carlo harness and the design kernels."""
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -344,6 +346,21 @@ class TestMonteCarlo:
         b = monte_carlo(DorfmanDesign(5), 0.05, 100, 5000, seed=42)
         c = monte_carlo(DorfmanDesign(5), 0.05, 100, 5000, seed=42, workers=4)
         assert a == b == c
+
+    def test_overlapping_calls_share_one_thread_pool(self):
+        # calls with one worker count share a pool, also when they overlap
+        args = (DorfmanDesign(5), 0.05, 100, 3 * BLOCK_REPS)
+        expected = [monte_carlo(*args, seed=s) for s in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as callers:
+                got = list(callers.map(lambda s: monte_carlo(*args, seed=s, workers=3), range(4),
+                                       timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == expected
+        assert simulation._thread_pool(3) is simulation._thread_pool(3)
 
     def test_seed_changes_result(self):
         a = monte_carlo(DorfmanDesign(5), 0.05, 100, 2000, seed=1)
