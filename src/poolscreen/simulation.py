@@ -27,9 +27,15 @@ to bound memory, every block is drawn and reduced a few rows at a time, and
 consecutive draws read each stream in the same order as one whole draw
 would.
 
-Statuses are raw 64-bit Philox words compared with an integer cut (see
-_status_cut), bit-identical to rng.random() < p on the same stream but with
-no conversion to floats; the dilution noise is drawn as uniforms.
+A block's statuses are one Bernoulli(p) sequence, row after row, drawn as
+geometric gaps between occurrences of the rarer outcome (positives for
+p <= 1/2, negatives above), in fixed batches of _GAP_BATCH uniforms from
+stream 0, so a draw costs O(min(p, 1 - p)) random numbers per status (see
+_draw_rows).  The batch size is part of the reproducibility contract, like
+BLOCK_REPS.  A gap is floor(log1p(-u) / log1p(-r)), so the statuses are
+Bernoulli(p) up to floating-point rounding in the logarithms, not exactly to
+2**-53 as a comparison of one uniform per status would be.  The dilution
+noise is drawn as uniforms, two per person.
 
 Pool membership is consecutive-block assignment; statuses are i.i.d., so any
 assignment rule yields the same distribution.  Populations that do not divide
@@ -69,11 +75,15 @@ __all__ = [
 #: each replication reads, i.e. it is part of the reproducibility contract.
 BLOCK_REPS = 4096
 
-# Bytes of raw status words drawn at once, 8 per person (a noisy block draws
-# twice as many noise uniforms alongside).  Blocks are drawn and reduced in row
-# sub-chunks of this size, so the working set is bounded whatever the
-# population size.
+# Row budget of a sub-chunk, 8 bytes per person: about a million statuses (a
+# noisy block draws two noise uniforms per person alongside).  Blocks are
+# drawn and reduced in row sub-chunks of this size, so the working set is
+# bounded whatever the population size.
 _DRAW_BYTES = 8 << 20
+
+#: Uniforms per batch of status gaps.  Fixed: changing it changes which part
+#: of a block's stream each status reads (see _draw_rows).
+_GAP_BATCH = 1 << 14
 
 
 def _block_rng(seed: int, block: int, stream: int = 0) -> np.random.Generator:
@@ -94,28 +104,52 @@ class MonteCarloSummary:
     pool_miss_rate: float | None = None  # noise runs: observed pooled miss rate
 
 
-def _status_cut(p: float) -> int:
-    """The raw-word cut of Bernoulli(p) statuses: a raw Philox word x, which
-    rng.random() turns into u = (x >> 11) * 2**-53, gives u < p exactly when
-    x < ceil(p * 2**53) << 11.  Only p = 1 gives a cut past every word, 2**64."""
-    return math.ceil(p * 2**53) << 11
-
-
 def _draw_rows(rng: np.random.Generator, lo: int, hi: int, n: int, p: float, unit: int):
     """Yield (rows, statuses) for rows lo..hi-1 of n Bernoulli(p) statuses each,
-    in sub-chunks of at most _DRAW_BYTES of raw words (at least one row),
-    counted on rows padded to whole units of `unit` people as the kernels pad
-    them.  Each status compares one raw word with _status_cut(p), so the
-    statuses are bit-identical to rng.random((hi - lo, n)) < p, and the chunks
-    read rng's stream in the same order as that one draw."""
-    cut = _status_cut(p)
+    in sub-chunks of at most _DRAW_BYTES at 8 bytes per person (at least one
+    row), counted on rows padded to whole units of `unit` people as the
+    kernels pad them.
+
+    The (hi - lo) * n statuses, row after row, are one Bernoulli sequence.
+    With r = min(p, 1 - p), the gaps between occurrences of the rarer outcome
+    are Geometric(r), floor(log1p(-u) / log1p(-r)) for a uniform u, drawn from
+    rng in batches of _GAP_BATCH.  A batch is drawn only while the positions
+    drawn so far end before the sub-chunk does, so how much of the stream is
+    read depends on the block alone, not on the sub-chunking."""
+    rare = min(p, 1.0 - p)
+    log_q = math.log1p(-rare)
+    length = (hi - lo) * n
     step = max(1, _DRAW_BYTES // (8 * -(-n // unit) * unit))
+    u = np.empty(_GAP_BATCH)
+    # positions of the rarer outcome drawn but not yet yielded, and of the
+    # latest one drawn, counted from the start of the current sub-chunk
+    drawn, last = [np.empty(0, np.int64)], -1
     for a in range(lo, hi, step):
         z = min(a + step, hi)
-        words = rng.bit_generator.random_raw((z - a, n))
-        statuses = words < np.uint64(cut) if cut < 1 << 64 else np.ones(words.shape, bool)
-        del words  # not held while the kernel runs
-        yield slice(a, z), statuses
+        size = (z - a) * n
+        while rare > 0.0 and last < size - 1:
+            rng.random(out=u)
+            np.negative(u, out=u)
+            np.log1p(u, out=u)
+            # at tiny r the quotient overflows to inf; every gap is clipped
+            # to the block length, so the positions' cumsum stays in int64
+            with np.errstate(over="ignore"):
+                np.divide(u, log_q, out=u)
+            np.minimum(u, length, out=u)
+            positions = u.astype(np.int64)
+            positions += 1
+            positions[0] += last
+            np.cumsum(positions, out=positions)
+            last = int(positions[-1])
+            drawn.append(positions)
+        positions = np.concatenate(drawn)
+        k = int(positions.searchsorted(size))
+        statuses = np.zeros(size, bool)
+        statuses[positions[:k]] = True
+        drawn, last = [positions[k:] - size], last - size
+        if p > 0.5:
+            np.logical_not(statuses, out=statuses)
+        yield slice(a, z), statuses.reshape(z - a, n)
 
 
 # ---------------------------------------------------------------------------

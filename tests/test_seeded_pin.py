@@ -45,8 +45,8 @@ MONTE_CARLO_CASES = [
     (GibbsGowerPlan(8, 50), 0.03, None, BLOCK_REPS + 7, 14, False),
 ]
 
-SEEDED_SHA256 = "613baf50a7c51f12673adfafc41e0877dc0a89697948823d6ee5d006b8b5ef9f"
-NOISY_SHA256 = "e23d0d5ae37ab9a6d37c3c44ffba1797e389ca4283d067280a3067b1e228834a"
+SEEDED_SHA256 = "ecb2d19418ad742a2b9f543f4cd0263517e8f06f3a607fe0658cc0e399f5c4c5"
+NOISY_SHA256 = "71909d0549ffa7bf4c4b513d2b96cd004da3d1298f4832d652b1cf7464647751"
 
 
 def _outcome(block, statuses):

@@ -7,6 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -40,11 +41,33 @@ def run(block, statuses):
 # populations, as the harness draws them
 # ---------------------------------------------------------------------------
 
-def draw(n, p, seed):
-    """The first population of a run's first block, as the harness draws it."""
+def draw_rows(rows, n, p, seed):
+    """The first `rows` populations of a run's first block, as the harness
+    draws them, sub-chunk by sub-chunk."""
     rng = simulation._block_rng(seed, 0)
-    (_, statuses), = simulation._draw_rows(rng, 0, 1, n, p, 1)
-    return statuses[0]
+    return np.vstack([s for _, s in simulation._draw_rows(rng, 0, rows, n, p, 1)])
+
+
+def draw(n, p, seed):
+    """The first population of a run's first block."""
+    return draw_rows(1, n, p, seed)[0]
+
+
+def stream_state(rng):
+    """rng.bit_generator.state, comparable with == (Philox keeps arrays in it)."""
+    return repr(rng.bit_generator.state)
+
+
+def chi_square_pvalue(samples, dist, bins=30):
+    """p-value of a chi-square test of integer samples against a discrete
+    scipy distribution, over bins of about equal probability."""
+    # bin i holds (edges[i - 1], edges[i]]; the last one everything above
+    edges = np.unique(dist.ppf(np.linspace(0.0, 1.0, bins + 1)[1:-1]))
+    observed = np.bincount(np.searchsorted(edges, samples), minlength=len(edges) + 1)
+    expected = len(samples) * np.diff(np.concatenate([[0.0], dist.cdf(edges), [1.0]]))
+    assert expected.min() >= 5
+    stat = ((observed - expected) ** 2 / expected).sum()
+    return scipy.stats.chi2.sf(stat, len(expected) - 1)
 
 
 class TestPopulations:
@@ -60,44 +83,71 @@ class TestPopulations:
         sd = math.sqrt(1_000_000 * 0.01 * 0.99)
         assert abs(count - 10_000) <= 3 * sd
 
-    @pytest.mark.parametrize("p", [
-        5e-324, 2.0**-53, 3 * 2.0**-53, math.nextafter(3 * 2.0**-53, 0.0),
-        math.nextafter(3 * 2.0**-53, 1.0), 0.0175, 0.1, 0.5, math.nextafter(1.0, 0.0),
-    ])
-    def test_status_cut_at_boundary_words(self, p):
-        # a raw word x is a positive status exactly when rng.random()'s
-        # (x >> 11) * 2**-53 is below p; random draws land on the boundary
-        # words with probability 2**-53, so they are checked here one by one
-        c = math.ceil(p * 2**53)
-        words = [((c - 1) << 11) + 2047, c << 11, (c - 1) << 11]
-        expected = [(x >> 11) * 2.0**-53 < p for x in words]
-        cut = simulation._status_cut(p)
-        assert [x < cut for x in words] == expected
-        assert list(np.array(words, dtype=np.uint64) < np.uint64(cut)) == expected
-
     @settings(max_examples=100, deadline=None)
     @given(
-        p=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        p=st.one_of(st.sampled_from([0.0, 1.0, 5e-324, 0.5]), st.floats(0.0, 1.0)),
         rows=st.integers(1, 40),
         n=st.integers(1, 40),
         unit=st.integers(1, 50),
         rows_per_chunk=st.integers(1, 20),
+        gap_batch=st.sampled_from([1, 3, 64, simulation._GAP_BATCH]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_draw_rows_match_uniform_draws(self, p, rows, n, unit, rows_per_chunk, seed):
-        # statuses from raw words, drawn in sub-chunks, equal rng.random() < p
-        # on a twin generator, and leave the stream where one whole draw of
-        # uniforms leaves it
+    def test_sub_chunks_match_one_whole_draw(self, p, rows, n, unit, rows_per_chunk,
+                                             gap_batch, seed):
+        # statuses drawn in sub-chunks equal one whole draw, and leave the
+        # stream where that draw leaves it; small gap batches carry the last
+        # position across batches as well as across sub-chunks and rows
         rng, twin = simulation._block_rng(seed, 3), simulation._block_rng(seed, 3)
         budget = 8 * -(-n // unit) * unit * rows_per_chunk
-        with mock.patch.object(simulation, "_DRAW_BYTES", budget):
-            chunks = list(simulation._draw_rows(rng, 5, 5 + rows, n, p, unit))
+        with mock.patch.object(simulation, "_GAP_BATCH", gap_batch):
+            (rows_whole, whole), = simulation._draw_rows(twin, 5, 5 + rows, n, p, unit)
+            with mock.patch.object(simulation, "_DRAW_BYTES", budget):
+                chunks = list(simulation._draw_rows(rng, 5, 5 + rows, n, p, unit))
+        assert rows_whole == slice(5, 5 + rows)
         assert [r for r, _ in chunks] == [
             slice(a, min(a + rows_per_chunk, 5 + rows)) for a in range(5, 5 + rows, rows_per_chunk)
         ]
-        statuses = np.vstack([s for _, s in chunks])
-        assert np.array_equal(statuses, twin.random((rows, n)) < p)
-        assert rng.random() == twin.random()
+        assert np.array_equal(np.vstack([s for _, s in chunks]), whole)
+        assert stream_state(rng) == stream_state(twin)
+
+    @pytest.mark.parametrize("p", [0.005, 0.0175, 0.1, 0.3, 0.7, 0.95])
+    def test_counts_and_gaps_by_chi_square(self, p):
+        # 10^7 statuses: per-row positive counts against Binomial(n, p), and
+        # the gaps between occurrences of the rarer outcome, over the whole
+        # row-after-row sequence, against Geometric(min(p, 1 - p)) failures
+        rows, n = 4000, 2500
+        statuses = draw_rows(rows, n, p, seed=17)
+        rare = min(p, 1.0 - p)
+        positions = np.flatnonzero(statuses if p <= 0.5 else ~statuses)
+        gaps = np.diff(positions, prepend=-1) - 1
+        assert chi_square_pvalue(statuses.sum(axis=1), scipy.stats.binom(n, p)) > 1e-4
+        assert chi_square_pvalue(gaps, scipy.stats.geom(rare, loc=-1)) > 1e-4
+
+    @pytest.mark.parametrize("p, batches, positive", [
+        (0.0, 0, False),
+        (1.0, 0, True),
+        (5e-324, 1, False),
+        (2.0**-53, 1, False),
+        (math.nextafter(1.0, 0.0), 1, True),
+    ])
+    def test_extreme_prevalences(self, p, batches, positive):
+        # every status is the likely outcome, r = 0 reads nothing, and a
+        # tiny r one batch, whose gaps, past the block, are clipped to it
+        rng, twin = simulation._block_rng(4, 0), simulation._block_rng(4, 0)
+        (_, statuses), = simulation._draw_rows(rng, 0, 300, 1000, p, 1)
+        assert np.array_equal(statuses, np.full((300, 1000), positive))
+        twin.random(batches * simulation._GAP_BATCH)
+        assert stream_state(rng) == stream_state(twin)
+
+    def test_inverted_draws_around_one_half(self):
+        # above 1/2 the negatives' gaps are drawn, so p and 1 - p give
+        # complementary statuses from the same stream; at 1/2 the positives'
+        above = math.nextafter(0.5, 1.0)
+        half, high, low = (draw_rows(200, 500, q, seed=8) for q in (0.5, above, 1.0 - above))
+        assert np.array_equal(high, ~low)
+        for statuses in (half, high):
+            assert abs(int(statuses.sum()) - 50_000) <= 5 * math.sqrt(100_000 / 4)
 
     def test_validation(self, monkeypatch):
         # an empty population is rejected before any status is drawn
@@ -244,11 +294,13 @@ class TestKernelEquivalence:
     def test_presumptive_false_positives_match_literal(self):
         # the harness's specificity counts the literal procedure's false positives
         p, n, reps, seed = 0.08, 50, 300, 3
-        statuses = simulation._block_rng(seed, 0).random((reps, n)) < p
+        design = ArrayDesign(4, confirm_stage=False)
+        rng = simulation._block_rng(seed, 0)
+        (_, statuses), = simulation._draw_rows(rng, 0, reps, n, p, design._unit)
         presumed = [literal.grid(row, 4, 2, confirm=False)[1] for row in statuses]
         false_pos = sum(int((mask & ~row).sum()) for mask, row in zip(presumed, statuses))
         negatives = reps * n - int(statuses.sum())
-        out = monte_carlo(ArrayDesign(4, confirm_stage=False), p, n, reps, seed=seed)
+        out = monte_carlo(design, p, n, reps, seed=seed)
         assert false_pos > 0
         assert out.specificity == 1.0 - false_pos / negatives
 
@@ -460,21 +512,28 @@ class TestRowSubChunks:
         DorfmanDesign(1), DorfmanDesign(7), SterrettDesign(6), ArrayDesign(4),
         ArrayDesign(4, confirm_stage=False), HypercubeDesign(3, 3))]
     RUNS += [(design, NOISE) for design in (DorfmanDesign(1), DorfmanDesign(7), SterrettDesign(6))]
+    IDS = [("noisy-" if noise else "") + str(d) for d, noise in RUNS]
     REPS = BLOCK_REPS + 7
 
-    @staticmethod
-    def rows_per_chunk(monkeypatch, rows, n):
-        monkeypatch.setattr(simulation, "_DRAW_BYTES", 8 * n * rows)
-
-    @pytest.mark.parametrize("workers", [1, 3])
-    @pytest.mark.parametrize("design, noise", RUNS,
-                             ids=[("noisy-" if noise else "") + str(d) for d, noise in RUNS])
-    def test_noise_free_runs(self, monkeypatch, design, noise, workers):
-        args = (design, 0.06, 61, self.REPS)
+    def assert_chunk_free(self, monkeypatch, design, noise, workers, p):
+        args = (design, p, 61, self.REPS)
         whole = monte_carlo(*args, seed=5, noise=noise, workers=workers)
         for rows in (1, 1000):
-            self.rows_per_chunk(monkeypatch, rows, 61)
+            monkeypatch.setattr(simulation, "_DRAW_BYTES", 8 * 61 * rows)
             assert monte_carlo(*args, seed=5, noise=noise, workers=workers) == whole
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("design, noise", RUNS, ids=IDS)
+    def test_noise_free_runs(self, monkeypatch, design, noise, workers):
+        self.assert_chunk_free(monkeypatch, design, noise, workers, 0.06)
+
+    # above 1/2 the negatives' positions are drawn and the rows inverted; at
+    # 1e-4 the last position is carried across many rows with none
+    @pytest.mark.parametrize("p", [0.7, 1e-4])
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("design, noise", RUNS, ids=IDS)
+    def test_inverted_and_sparse_draws(self, monkeypatch, design, noise, workers, p):
+        self.assert_chunk_free(monkeypatch, design, noise, workers, p)
 
 
 class TestDilutionNoise:
