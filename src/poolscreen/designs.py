@@ -27,12 +27,13 @@ what a faithful simulation converges to, and ``independence_gap`` reports the
 relative discrepancy between the two.
 
 Each design class carries what callers dispatch on: ``cost(rho)``, its closed
-form, and ``block(statuses[reps, n]) -> (tests, presumed-positive mask, or None
-when every candidate is confirmed)``, the vectorized test count that the Monte
-Carlo harness runs; Dorfman and Sterrett add ``noisy_block`` on pre-drawn
-uniforms.  No kernel draws random numbers.  The private ``_unit`` is the pool,
-batch or cluster size a kernel pads each row to whole multiples of, which the
-harness budgets its draws by.
+form, and ``block(positions, reps, n) -> (tests, presumed-positive mask, or
+None when every candidate is confirmed)``, the vectorized test count that the
+Monte Carlo harness runs on the sorted flat positions of the positives of
+reps rows of n people; Dorfman and Sterrett add ``noisy_block`` on dense
+statuses[reps, n] and pre-drawn uniforms.  No kernel draws random numbers.
+The private ``_unit`` is the pool, batch or cluster size a kernel pads each
+row to whole multiples of, which the harness budgets its draws by.
 """
 
 from __future__ import annotations
@@ -124,15 +125,21 @@ class DorfmanDesign:
     def cost(self, rho: float) -> float:
         return dorfman_expected_tests_per_person(rho, self.batch_size)
 
-    def block(self, statuses: np.ndarray):
+    def block(self, positions: np.ndarray, reps: int, n: int):
         """One test per pool plus a retest of every real member of a positive
         pool; b == 1 is individual testing, one test per person."""
-        reps, n = statuses.shape
         b = self.batch_size
         if b == 1:
             return np.full(reps, n), None
-        members = _unit_sizes(n, b)
-        return len(members) + _any_along(_units(statuses, b), 2) @ members, None
+        units = -(-n // b)
+        pools = _padded(positions, n, b) // b
+        pools = pools[_run_ends(pools)]
+        bounds = _row_bounds(pools, reps, units)
+        tests = units + b * np.diff(bounds)
+        tail = n - (units - 1) * b
+        if tail < b:  # a positive tail pool retests only its real members
+            tests -= (b - tail) * (bounds[1:] - _row_bounds(pools, reps, units, units - 1)[:-1])
+        return tests, None
 
     def noisy_block(self, statuses: np.ndarray, miss: np.ndarray, uniforms: np.ndarray):
         """(tests, detected mask, positive pools, missed pools) per replication;
@@ -164,8 +171,8 @@ class ArrayDesign:
     def cost(self, rho: float) -> float:
         return array_expected_tests_per_person(rho, self.side, self.confirm_stage)
 
-    def block(self, statuses: np.ndarray):
-        return _grid_block(statuses, self.side, 2, self.confirm_stage)
+    def block(self, positions: np.ndarray, reps: int, n: int):
+        return _grid_block(positions, reps, n, self.side, 2, self.confirm_stage)
 
 
 @dataclass(frozen=True)
@@ -183,8 +190,8 @@ class HypercubeDesign:
     def cost(self, rho: float) -> float:
         return hypercube_expected_tests_per_person(rho, self.side, self.dimension)
 
-    def block(self, statuses: np.ndarray):
-        return _grid_block(statuses, self.side, self.dimension, True)
+    def block(self, positions: np.ndarray, reps: int, n: int):
+        return _grid_block(positions, reps, n, self.side, self.dimension, True)
 
 
 @dataclass(frozen=True)
@@ -200,23 +207,28 @@ class SterrettDesign:
     def cost(self, rho: float) -> float:
         return sterrett_expected_tests_per_batch(rho, self.batch_size) / self.batch_size
 
-    def block(self, statuses: np.ndarray):
+    def block(self, positions: np.ndarray, reps: int, n: int):
         """Closed form of the Sterrett walk, batch by batch.
 
         A batch of m people with k positives, the last at index l, takes 1
         test if k == 0; k + m - 1 if l == m - 1 (k positive pools and every
         member but the inferred last); otherwise k + l + 2 (k positive pools,
-        l + 1 individual tests and the clean remainder pool).
+        l + 1 individual tests and the clean remainder pool).  Every batch
+        costs its 1, and each run of positives in one batch adds the rest.
         """
-        batches = _units(statuses, self.batch_size)
-        m = _unit_sizes(statuses.shape[1], self.batch_size)
-        k = batches[:, :, 0].astype(np.int64)
-        last = np.zeros(k.shape, dtype=np.int64)
-        for j in range(1, self.batch_size):  # like _any_along: b passes, no short-axis reductions
-            k += batches[:, :, j]
-            np.copyto(last, j, where=batches[:, :, j])
-        tests = np.where(k == 0, 1, np.where(last == m - 1, k + m - 1, k + last + 2))
-        return tests.sum(axis=1), None
+        b = self.batch_size
+        members = _unit_sizes(n, b)
+        units = len(members)
+        padded = _padded(positions, n, b)
+        batches = padded // b
+        ends = _run_ends(batches)
+        k = np.diff(ends, prepend=-1)
+        last = padded[ends] - b * batches[ends]
+        batches = batches[ends]
+        m = members[batches % units]
+        extra = np.where(last == m - 1, k + m - 2, k + last + 1)
+        sums = np.concatenate(([0], np.cumsum(extra)))[_row_bounds(batches, reps, units)]
+        return units + np.diff(sums), None
 
     def noisy_block(self, statuses: np.ndarray, miss: np.ndarray, uniforms: np.ndarray):
         """(tests, detected mask, positive pools, missed pools) per replication.
@@ -531,16 +543,6 @@ def _units(statuses: np.ndarray, size: int) -> np.ndarray:
     return padded.reshape(reps, units, size)
 
 
-def _any_along(a: np.ndarray, axis: int) -> np.ndarray:
-    """a.any(axis), as one OR per slice along axis: over a short axis, each OR
-    then runs along the long ones, several times faster than the reduction."""
-    at = (slice(None),) * axis
-    out = a[at + (0,)].copy()
-    for i in range(1, a.shape[axis]):
-        out |= a[at + (i,)]
-    return out
-
-
 def _unit_sizes(n: int, size: int) -> np.ndarray:
     """Real members of each consecutive unit of `size` covering n people."""
     units = -(-n // size)
@@ -549,30 +551,94 @@ def _unit_sizes(n: int, size: int) -> np.ndarray:
     return sizes
 
 
-def _grid_block(statuses: np.ndarray, b: int, d: int, confirm: bool):
+def _padded(positions: np.ndarray, n: int, size: int) -> np.ndarray:
+    """Flat positions over rows of n people, moved onto the same rows padded
+    to whole units of `size`: position // size is then row * units + the
+    unit's index in its row, as sorted as the positions."""
+    pad = -n % size
+    return positions + positions // n * pad if pad else positions
+
+
+def _run_ends(ids: np.ndarray) -> np.ndarray:
+    """Index of the last entry of each run of equal values in sorted ids."""
+    return np.flatnonzero(np.diff(ids, append=-1))
+
+
+def _row_bounds(ids: np.ndarray, reps: int, units: int, unit: int = 0) -> np.ndarray:
+    """Index of row r's first id at unit `unit` or later, for r = 0..reps, in
+    sorted unit ids row * units + unit; at unit 0, row r's ids are
+    ids[bounds[r]:bounds[r + 1]]."""
+    return ids.searchsorted(np.arange(reps + 1) * units + unit)
+
+
+def _grid_block(positions: np.ndarray, reps: int, n: int, b: int, d: int, confirm: bool):
     """(tests, presumed mask or None) for array (d = 2) and hypercube runs.
 
     Every axis-parallel line of each side-b cluster is pooled once; a cell is
     a candidate when every line through it pooled positive, and is retested
-    when confirm is true and presumed positive otherwise.  The clusters of all
-    rows are laid out cells first, shape (b,)*d + (clusters,), so a line's
-    positivity is the OR of b slices that each run along every cluster at
-    once, and the candidates are one broadcast AND of the d line arrays.
+    when confirm is true and presumed positive otherwise.  The positives are
+    scattered into d line arrays, laid out lines first, shape (b,)*(d-1) +
+    (clusters,).  With the confirm stage at d = 2 the candidates of a cluster
+    are its positive rows times its positive columns, less the padded cells
+    of a ragged tail cluster; otherwise they are one broadcast AND of the line
+    arrays over every cell, laid out cells first, shape (b,)*d + (clusters,).
     """
-    reps, n = statuses.shape
     size = b**d
     units = -(-n // size)
-    cells = np.ascontiguousarray(_units(statuses, size).transpose(2, 0, 1))
-    cells = cells.reshape((b,) * d + (reps * units,))
-    cand = True
-    for axis in range(d):
-        cand = cand & np.expand_dims(_any_along(cells, axis), axis)
+    lines = _pooled_lines(positions, n, b, d, reps * units)
     line_tests = units * d * b ** (d - 1)
+    tail = n - (units - 1) * size  # real cells of the tail cluster
+    if confirm and d == 2:
+        columns, rows = lines  # indexed by a cell's column and row
+        cand = _count(columns) * _count(rows)
+        cand = cand.reshape(reps, units).sum(axis=1)
+        if tail < size:
+            last = slice(units - 1, None, units)
+            padding = rows[:, None, last] & columns[None, :, last]
+            cand -= _count(padding.reshape(size, reps)[tail:])
+        return line_tests + cand, None
+    cand = np.expand_dims(lines[0], 0) & np.expand_dims(lines[1], 1)
+    for axis in range(2, d):
+        cand &= np.expand_dims(lines[axis], axis)
     cand = cand.reshape(size, reps, units)
     if confirm:
-        cand[n - (units - 1) * size :, :, -1] = False  # padded cells of the tail cluster
-        return line_tests + cand.sum(axis=(0, 2)), None
+        cand[tail:, :, -1] = False  # padded cells of the tail cluster
+        return line_tests + _count(cand).sum(axis=1), None
     return np.full(reps, line_tests), cand.transpose(1, 2, 0).reshape(reps, -1)[:, :n]
+
+
+def _pooled_lines(positions: np.ndarray, n: int, b: int, d: int, clusters: int) -> list:
+    """The d line arrays of a grid run, lines first: lines[axis] has shape
+    (b,)*(d-1) + (clusters,) and is true where that line along axis holds a
+    positive.  A cell's line along an axis drops the cell's digit there: at
+    place value inner, the line is cell - (cell // inner - cell // (inner * b))
+    * inner.  The int64 work arrays, one per positive, end with the call."""
+    size = b**d
+    padded = _padded(positions, n, size)
+    cluster = padded // size
+    cell = padded - cluster * size
+    spot = cell * clusters
+    spot += cluster
+    index, high = np.empty_like(cell), np.empty_like(cell)
+    lines = []
+    for axis in range(d):
+        inner = b ** (d - 1 - axis)
+        np.floor_divide(cell, inner, out=index)
+        if axis:  # along axis 0 the digit is the highest
+            np.floor_divide(cell, inner * b, out=high)
+            index -= high
+        index *= inner * clusters
+        np.subtract(spot, index, out=index)
+        pooled = np.zeros(b ** (d - 1) * clusters, dtype=bool)
+        pooled[index] = True
+        lines.append(pooled.reshape((b,) * (d - 1) + (clusters,)))
+    return lines
+
+
+def _count(a: np.ndarray) -> np.ndarray:
+    """a.sum(axis=0) of a bool array, int32: a sum of byte rows, each running
+    along the long axes, several times faster than the bool reduction."""
+    return np.add.reduce(a.view(np.uint8), axis=0, dtype=np.int32)
 
 
 def _noisy_units(statuses: np.ndarray, b: int, miss: np.ndarray, uniforms: np.ndarray):

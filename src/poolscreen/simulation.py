@@ -8,9 +8,10 @@ is validated against.
 
 The test counting belongs to the designs: each design class of the designs
 module has one kernel, block, that counts the tests of a whole block of
-replications at once, and Dorfman and Sterrett designs have a noisy_block
-that reads pre-drawn uniforms (see designs._noisy_units).  This module draws
-the populations and the noise, runs the kernels and aggregates.  The literal
+replications at once from the sorted positions of its positives, and Dorfman
+and Sterrett designs have a noisy_block that reads dense statuses and
+pre-drawn uniforms (see designs._noisy_units).  This module draws the
+populations and the noise, runs the kernels and aggregates.  The literal
 one-pool-at-a-time procedures live in the test suite
 (tests/literal_procedures.py), which checks the kernels against them test
 for test.
@@ -23,9 +24,10 @@ only on (design, parameters, seed) - not on chunking, scheduling or the
 number of workers - and rerunning with the same seed is bit-identical.
 Aggregation happens on per-replication arrays indexed by r, which makes it
 order-insensitive by construction.  Nor do results depend on row sub-chunks:
-to bound memory, every block is drawn and reduced a few rows at a time, and
-consecutive draws read each stream in the same order as one whole draw
-would.
+to bound memory, every block is drawn and reduced a few rows at a time, as
+the sorted positions of each sub-chunk's positives (made dense only for the
+noisy kernels), and consecutive draws read each stream in the same order as
+one whole draw would.
 
 A block's statuses are one Bernoulli(p) sequence, row after row, drawn as
 geometric gaps between occurrences of the rarer outcome (positives for
@@ -75,10 +77,11 @@ __all__ = [
 #: each replication reads, i.e. it is part of the reproducibility contract.
 BLOCK_REPS = 4096
 
-# Row budget of a sub-chunk, 8 bytes per person: about a million statuses (a
-# noisy block draws two noise uniforms per person alongside).  Blocks are
-# drawn and reduced in row sub-chunks of this size, so the working set is
-# bounded whatever the population size.
+# Row budget of a sub-chunk, 8 bytes per person: about a million statuses,
+# or an int64 position for each at any p (a noisy block draws two noise
+# uniforms per person alongside).  Blocks are drawn and reduced in row
+# sub-chunks of this size, so the working set is bounded whatever the
+# population size.
 _DRAW_BYTES = 8 << 20
 
 #: Uniforms per batch of status gaps.  Fixed: changing it changes which part
@@ -105,17 +108,19 @@ class MonteCarloSummary:
 
 
 def _draw_rows(rng: np.random.Generator, lo: int, hi: int, n: int, p: float, unit: int):
-    """Yield (rows, statuses) for rows lo..hi-1 of n Bernoulli(p) statuses each,
-    in sub-chunks of at most _DRAW_BYTES at 8 bytes per person (at least one
-    row), counted on rows padded to whole units of `unit` people as the
-    kernels pad them.
+    """Yield (rows, positions) for rows lo..hi-1 of n Bernoulli(p) statuses
+    each, in sub-chunks of at most _DRAW_BYTES at 8 bytes per person (at least
+    one row), counted on rows padded to whole units of `unit` people as the
+    kernels pad them.  positions are the sorted flat positions of a
+    sub-chunk's positives, int64, row-major over its rows x n statuses.
 
     The (hi - lo) * n statuses, row after row, are one Bernoulli sequence.
     With r = min(p, 1 - p), the gaps between occurrences of the rarer outcome
     are Geometric(r), floor(log1p(-u) / log1p(-r)) for a uniform u, drawn from
     rng in batches of _GAP_BATCH.  A batch is drawn only while the positions
     drawn so far end before the sub-chunk does, so how much of the stream is
-    read depends on the block alone, not on the sub-chunking."""
+    read depends on the block alone, not on the sub-chunking.  Above p = 1/2
+    the drawn positions are the negatives', and their complement is yielded."""
     rare = min(p, 1.0 - p)
     log_q = math.log1p(-rare)
     length = (hi - lo) * n
@@ -144,12 +149,21 @@ def _draw_rows(rng: np.random.Generator, lo: int, hi: int, n: int, p: float, uni
             drawn.append(positions)
         positions = np.concatenate(drawn)
         k = int(positions.searchsorted(size))
-        statuses = np.zeros(size, bool)
-        statuses[positions[:k]] = True
         drawn, last = [positions[k:] - size], last - size
+        positions = positions[:k]
         if p > 0.5:
-            np.logical_not(statuses, out=statuses)
-        yield slice(a, z), statuses.reshape(z - a, n)
+            negative = np.zeros(size, bool)
+            negative[positions] = True
+            positions = np.flatnonzero(~negative)
+        yield slice(a, z), positions
+
+
+def _statuses(positions: np.ndarray, reps: int, n: int) -> np.ndarray:
+    """Dense statuses[reps, n] from the flat positions of the positives, for
+    the noisy kernels."""
+    statuses = np.zeros(reps * n, bool)
+    statuses[positions] = True
+    return statuses.reshape(reps, n)
 
 
 # ---------------------------------------------------------------------------
@@ -263,21 +277,24 @@ def _monte_carlo_classification(design, p, n, reps, seed, noise, workers):
         rng = _block_rng(seed, block)
         if noise is not None:
             noise_rng = _block_rng(seed, block, stream=1)
-        for rows, statuses in _draw_rows(rng, lo, hi, n, p, design._unit):
+        for rows, positions in _draw_rows(rng, lo, hi, n, p, design._unit):
+            count = rows.stop - rows.start
             if noise is None:
-                tests[rows], positive = design.block(statuses)
+                tests[rows], positive = design.block(positions, count, n)
             else:
                 # row r reads its n pool uniforms, then its n individual ones
-                uniforms = noise_rng.random((len(statuses), 2, n))
+                uniforms = noise_rng.random((count, 2, n))
                 tests[rows], positive, pool_pos[rows], pool_missed[rows] = design.noisy_block(
-                    statuses, miss, uniforms
+                    _statuses(positions, count, n), miss, uniforms
                 )
             # without a mask every status is confirmed: sensitivity and
             # specificity are 1 whatever the positives count, so none is taken
             if positive is not None:
-                n_pos[rows] = statuses.sum(axis=1)
-                fn[rows] = (statuses & ~positive).sum(axis=1)
-                fp[rows] = (positive & ~statuses).sum(axis=1)
+                row = positions // n
+                missed = ~positive[row, positions - row * n]
+                n_pos[rows] = np.bincount(row, minlength=count)
+                fn[rows] = np.bincount(row[missed], minlength=count)
+                fp[rows] = positive.sum(axis=1) - n_pos[rows] + fn[rows]
 
     _run_blocks(do_block, reps, workers)
 

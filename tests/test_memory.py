@@ -19,9 +19,12 @@ CALLS = [
     # a full 4096-replication block of 20,000 people: 655 MB of raw words if
     # drawn whole
     ("monte_carlo", lambda: monte_carlo(DorfmanDesign(10), 0.01, 20_000, 4096, seed=1)),
-    # the grid kernel lays each sub-chunk's clusters out cells first, a
-    # transposed copy; 312 clusters of 8 x 8 per replication
+    # the grid kernel scatters each sub-chunk's positives into its line
+    # arrays, one byte per line of 312 clusters of 8 x 8 per replication; the
+    # presumptive mask ANDs them over every cell
     ("monte_carlo-array", lambda: monte_carlo(ArrayDesign(8), 0.01, 19_968, 4096, seed=1)),
+    # the benchmark's other array call: 480 clusters of 5 x 5 per replication
+    ("monte_carlo-array-5", lambda: monte_carlo(ArrayDesign(5), 0.0175, 12_000, 4096, seed=1)),
     ("monte_carlo-array-presumed",
      lambda: monte_carlo(ArrayDesign(8, confirm_stage=False), 0.01, 19_968, 4096, seed=1)),
     # a noisy block also draws two noise uniforms per person and replication

@@ -51,9 +51,9 @@ NOISY_SHA256 = "71909d0549ffa7bf4c4b513d2b96cd004da3d1298f4832d652b1cf7464647751
 
 def _outcome(block, statuses):
     """(tests, classified-positive indices, classified-negative indices, false
-    negatives, false positives) of a kernel block(statuses[reps, n]) -> (tests,
-    presumed mask or None) on one population."""
-    tests, presumed = block(statuses[None])
+    negatives, false positives) of a kernel block(positions, reps, n) ->
+    (tests, presumed mask or None) on one population."""
+    tests, presumed = block(np.flatnonzero(statuses), 1, len(statuses))
     positive = statuses if presumed is None else presumed[0]
     idx = np.arange(len(statuses))
     return (int(tests[0]), idx[positive].tolist(), idx[~positive].tolist(),
@@ -79,7 +79,7 @@ def seeded_results() -> list:
         blocks += [SterrettDesign(b).block for b in (2, 5, 9)]
         blocks += [ArrayDesign(b, c).block for b, c in ((3, True), (4, False), (5, True))]
         # hypercubes, presumptive ones too: the grid kernel with its confirm flag
-        blocks += [lambda s, b=b, d=d, c=c: _grid_block(s, b, d, c)
+        blocks += [lambda s, reps, n, b=b, d=d, c=c: _grid_block(s, reps, n, b, d, c)
                    for b, d, c in ((2, 3, True), (3, 3, False), (2, 4, True))]
         results += [_outcome(block, statuses) for block in blocks]
     return results

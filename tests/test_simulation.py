@@ -30,10 +30,10 @@ from poolscreen.simulation import BLOCK_REPS, monte_carlo
 
 
 def run(block, statuses):
-    """(tests, classified-positive mask) of a kernel block(statuses[reps, n])
+    """(tests, classified-positive mask) of a kernel block(positions, reps, n)
     -> (tests, presumed mask or None) on one population."""
     statuses = np.asarray(statuses, dtype=bool)
-    tests, presumed = block(statuses[None])
+    tests, presumed = block(np.flatnonzero(statuses), 1, len(statuses))
     return int(tests[0]), statuses if presumed is None else presumed[0]
 
 
@@ -41,11 +41,17 @@ def run(block, statuses):
 # populations, as the harness draws them
 # ---------------------------------------------------------------------------
 
-def draw_rows(rows, n, p, seed):
-    """The first `rows` populations of a run's first block, as the harness
-    draws them, sub-chunk by sub-chunk."""
+def draw_positions(rows, n, p, seed):
+    """The flat positions of the positives of the first `rows` populations of
+    a run's first block, as the harness draws them, sub-chunk by sub-chunk."""
     rng = simulation._block_rng(seed, 0)
-    return np.vstack([s for _, s in simulation._draw_rows(rng, 0, rows, n, p, 1)])
+    chunks = simulation._draw_rows(rng, 0, rows, n, p, 1)
+    return np.concatenate([positions + r.start * n for r, positions in chunks])
+
+
+def draw_rows(rows, n, p, seed):
+    """The first `rows` populations of a run's first block, as statuses."""
+    return simulation._statuses(draw_positions(rows, n, p, seed), rows, n)
 
 
 def draw(n, p, seed):
@@ -95,9 +101,10 @@ class TestPopulations:
     )
     def test_sub_chunks_match_one_whole_draw(self, p, rows, n, unit, rows_per_chunk,
                                              gap_batch, seed):
-        # statuses drawn in sub-chunks equal one whole draw, and leave the
-        # stream where that draw leaves it; small gap batches carry the last
-        # position across batches as well as across sub-chunks and rows
+        # positives drawn in sub-chunks, moved by their sub-chunk's offset,
+        # equal one whole draw, and leave the stream where that draw leaves
+        # it; small gap batches carry the last position across batches as
+        # well as across sub-chunks and rows
         rng, twin = simulation._block_rng(seed, 3), simulation._block_rng(seed, 3)
         budget = 8 * -(-n // unit) * unit * rows_per_chunk
         with mock.patch.object(simulation, "_GAP_BATCH", gap_batch):
@@ -108,7 +115,13 @@ class TestPopulations:
         assert [r for r, _ in chunks] == [
             slice(a, min(a + rows_per_chunk, 5 + rows)) for a in range(5, 5 + rows, rows_per_chunk)
         ]
-        assert np.array_equal(np.vstack([s for _, s in chunks]), whole)
+        for r, positions in chunks + [(rows_whole, whole)]:
+            # strictly increasing int64 positions inside the sub-chunk
+            assert positions.dtype == np.int64
+            assert (np.diff(positions) > 0).all()
+            assert ((0 <= positions) & (positions < (r.stop - r.start) * n)).all()
+        moved = [positions + (r.start - 5) * n for r, positions in chunks]
+        assert np.array_equal(np.concatenate(moved), whole)
         assert stream_state(rng) == stream_state(twin)
 
     @pytest.mark.parametrize("p", [0.005, 0.0175, 0.1, 0.3, 0.7, 0.95])
@@ -135,19 +148,20 @@ class TestPopulations:
         # every status is the likely outcome, r = 0 reads nothing, and a
         # tiny r one batch, whose gaps, past the block, are clipped to it
         rng, twin = simulation._block_rng(4, 0), simulation._block_rng(4, 0)
-        (_, statuses), = simulation._draw_rows(rng, 0, 300, 1000, p, 1)
-        assert np.array_equal(statuses, np.full((300, 1000), positive))
+        (_, positions), = simulation._draw_rows(rng, 0, 300, 1000, p, 1)
+        assert np.array_equal(positions, np.arange(300_000 if positive else 0))
         twin.random(batches * simulation._GAP_BATCH)
         assert stream_state(rng) == stream_state(twin)
 
     def test_inverted_draws_around_one_half(self):
-        # above 1/2 the negatives' gaps are drawn, so p and 1 - p give
-        # complementary statuses from the same stream; at 1/2 the positives'
+        # above 1/2 the negatives' gaps are drawn, so p and 1 - p read the
+        # same positions from the same stream, and the positives above 1/2
+        # are their exact complement; at 1/2 the positives' are drawn
         above = math.nextafter(0.5, 1.0)
-        half, high, low = (draw_rows(200, 500, q, seed=8) for q in (0.5, above, 1.0 - above))
-        assert np.array_equal(high, ~low)
-        for statuses in (half, high):
-            assert abs(int(statuses.sum()) - 50_000) <= 5 * math.sqrt(100_000 / 4)
+        half, high, low = (draw_positions(200, 500, q, seed=8) for q in (0.5, above, 1.0 - above))
+        assert np.array_equal(high, np.setdiff1d(np.arange(100_000), low))
+        for positions in (half, high):
+            assert abs(len(positions) - 50_000) <= 5 * math.sqrt(100_000 / 4)
 
     def test_validation(self, monkeypatch):
         # an empty population is rejected before any status is drawn
@@ -260,7 +274,7 @@ def assert_block_matches(block, statuses, oracle):
 
 
 def assert_matches_literal(design, statuses):
-    block = design.block(statuses)
+    block = design.block(np.flatnonzero(statuses), *statuses.shape)
     assert_block_matches(block, statuses, lambda row: literal.run(design, row))
 
 
@@ -296,7 +310,8 @@ class TestKernelEquivalence:
         p, n, reps, seed = 0.08, 50, 300, 3
         design = ArrayDesign(4, confirm_stage=False)
         rng = simulation._block_rng(seed, 0)
-        (_, statuses), = simulation._draw_rows(rng, 0, reps, n, p, design._unit)
+        (_, positions), = simulation._draw_rows(rng, 0, reps, n, p, design._unit)
+        statuses = simulation._statuses(positions, reps, n)
         presumed = [literal.grid(row, 4, 2, confirm=False)[1] for row in statuses]
         false_pos = sum(int((mask & ~row).sum()) for mask, row in zip(presumed, statuses))
         negatives = reps * n - int(statuses.sum())
@@ -345,9 +360,10 @@ class TestKernelProperties:
     # must not be counted (confirm), nor shift the presumed mask
     @example(shape=(3, 3), confirm=True, statuses=np.ones((1, 53), dtype=bool))
     @example(shape=(4, 2), confirm=False, statuses=np.ones((1, 30), dtype=bool))
+    @example(shape=(4, 2), confirm=True, statuses=np.ones((1, 30), bool))
     def test_grid_kernel_matches_literal(self, shape, confirm, statuses):
         side, dim = shape
-        block = designs._grid_block(statuses, side, dim, confirm)
+        block = designs._grid_block(np.flatnonzero(statuses), *statuses.shape, side, dim, confirm)
         assert_block_matches(block, statuses, lambda row: literal.grid(row, side, dim, confirm))
 
 
