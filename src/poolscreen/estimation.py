@@ -7,8 +7,13 @@ estimate is
 
 Because t_+ is Binomial(t, 1 - (1-p)^b), every moment of p_hat is an explicit
 finite sum, and this module computes the expected value and mean squared
-error of the estimator exactly (in log-space, with the binomial tail windowed
-far below double precision).  The familiar large-t approximation
+error of the estimator exactly.  The binomial weights come from the ratio of
+consecutive terms, log(w_k / w_(k-1)) = log((t-k+1)/k) + log(P/(1-P)),
+summed outward from the mode and normalized to unit sum, with log(1-P) taken
+as b log1p(-p): no gamma function is called, so no large log-gamma terms
+cancel, and the tail beyond +/- 40 sigma (below e^-700) is never formed.
+
+The familiar large-t approximation
 
     var(p_hat) ~ (1 - (1-p)^b) / (t b^2 (1-p)^(b-2))
 
@@ -41,7 +46,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import designs
 from ._validate import exp_or_inf, instance, integer, positive_fraction, prob, real
@@ -77,6 +81,7 @@ MAX_EXACT_POOL_COUNT = 100_000
 
 _T_SEARCH_LIMIT = 1_000_000  # internal ceiling when solving for a test count
 _MSE_ENTRIES = 1 << 15  # (pool size, support point) pairs per _mse_many chunk
+_ODDS_SPAN = 600.0  # largest (odds spread) x (window width) in one _mse_many chunk
 _REL_GUARD = 1e-9  # tolerance when comparing an NRMSE against its target
 
 
@@ -198,29 +203,70 @@ def _estimates_for_counts(t_plus: np.ndarray, t: int, b: int) -> np.ndarray:
     return np.where(t_plus == t, 1.0, ph)
 
 
-def _binomial_window(t: int, pool_prob: float) -> tuple[np.ndarray, np.ndarray]:
-    """Support points and probabilities of Binomial(t, pool_prob).
+def _log_negatives_share(k: np.ndarray, t: int) -> np.ndarray:
+    """log(1 - k/t) for consecutive counts k, within an ulp or two: log1p up to
+    t/2, and past it log of (t-k)/t, which rounds once, where log1p would see
+    1 - k/t through the rounding of k/t.  -inf at k == t.
+
+    The exact moments take the estimate from this; _estimates_for_counts,
+    which the Monte Carlo harness draws estimates with, keeps gg_estimate's
+    log1p form, so seeded results do not move.
+    """
+    high = min(len(k), max(0, t // 2 + 1 - int(k[0])))  # k[high:] > t/2
+    if high == len(k):
+        return np.log1p(k / -t)
+    out = np.empty(len(k))
+    np.log1p(k[:high] / -t, out=out[:high])
+    with np.errstate(divide="ignore"):
+        np.log((t - k[high:]) / t, out=out[high:])
+    return out
+
+
+def _log_weights(k: np.ndarray, t: int, m: int, odds: float) -> np.ndarray:
+    """log(w_k / w_m) for Binomial(t, P) over the consecutive counts k, which
+    hold m, with odds = log(P / (1-P)).
+
+    The ratios log(w_k / w_(k-1)) = log((t-k+1)/k) + odds are cumsummed
+    outward from m in both directions.  With m the mode the partial sums stay
+    small where the mass is, so their rounding stays near one ulp of a
+    number of order one.
+    """
+    j = m - int(k[0])
+    k1 = k[1:]
+    steps = np.log((t + 1 - k1) / k1)
+    steps += odds
+    out = np.empty(len(k))
+    out[j] = 0.0
+    np.add.accumulate(steps[j:], out=out[j + 1 :])
+    if j:
+        left = out[j - 1 :: -1]
+        np.add.accumulate(steps[j - 1 :: -1], out=left)
+        np.negative(left, out=left)
+    return out
+
+
+def _binomial_window(t: int, p: float, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """Support points and probabilities of the positive-pool count
+    Binomial(t, 1 - (1-p)^b).
 
     Only the +/- 40-sigma window is materialized; omitted tail terms are below
-    e^-700 and cannot move a double-precision sum.
+    e^-700 and cannot move a double-precision sum.  The weights sum to one.
     """
+    pool_prob = positive_fraction(p, b)
     if pool_prob <= 0.0:
         return np.array([0]), np.array([1.0])
     if pool_prob >= 1.0:
         return np.array([t]), np.array([1.0])
+    log_q = b * math.log1p(-p)  # log(1 - P) without the cancellation in 1 - P
     mean = t * pool_prob
     half = 40.0 * math.sqrt(mean * (1.0 - pool_prob)) + 25.0
     k_lo = max(0, int(mean - half))
     k_hi = min(t, int(mean + half) + 1)
-    k = np.arange(k_lo, k_hi + 1)
-    logw = (
-        gammaln(t + 1)
-        - gammaln(k + 1)
-        - gammaln(t - k + 1)
-        + k * math.log(pool_prob)
-        + (t - k) * math.log1p(-pool_prob)
-    )
-    return k, np.exp(logw)
+    k = np.arange(float(k_lo), k_hi + 1)  # float counts: no int-to-float casts
+    mode = min(t, int((t + 1) * pool_prob))
+    w = np.exp(_log_weights(k, t, mode, math.log(pool_prob) - log_q))
+    w /= w.sum()
+    return k, w
 
 
 def _exact_moments(p: float, b: int, t: int) -> tuple[float, float]:
@@ -231,11 +277,11 @@ def _exact_moments(p: float, b: int, t: int) -> tuple[float, float]:
         # the estimator reduces to the sample proportion; keep the closed
         # forms so the specialization is exact to machine precision
         return p, p * (1.0 - p) / t
-    k, w = _binomial_window(t, positive_fraction(p, b))
-    ph = _estimates_for_counts(k, t, b)
+    k, w = _binomial_window(t, p, b)
+    ph = -np.expm1(_log_negatives_share(k, t) / b)  # the estimate at each count
     expected = float(np.dot(w, ph))
-    mse = float(np.dot(w, (ph - p) ** 2))
-    return expected, mse
+    ph -= p
+    return expected, float(np.dot(w, ph * ph))
 
 
 def gg_expected_estimate(p: float, b: int, t: int) -> float:
@@ -338,13 +384,27 @@ def gg_tests_needed(
     def ok(t: int) -> bool:
         return _nrmse_unchecked(p, b, t) <= bound
 
-    # gallop up from the asymptotic count, never past the search limit, then
-    # bisect; lo = 0 is a sentinel, and ok(hi) holds once the gallop stops
-    lo, hi = 0, _ceil_slack(min(_asymptotic_tests_real(p, b, target), _T_SEARCH_LIMIT))
-    while not ok(hi):
-        if hi == _T_SEARCH_LIMIT:
-            raise _infeasible(p, b, target)
-        lo, hi = hi, min(2 * hi, _T_SEARCH_LIMIT)
+    # gallop from the asymptotic count in steps of 1, 2, 4, ... until lo
+    # misses the target (lo = 0 is a sentinel) and hi meets it, never past
+    # the search limit, then bisect; the answer is mostly 1 or 2 above it
+    t = _ceil_slack(min(_asymptotic_tests_real(p, b, target), _T_SEARCH_LIMIT))
+    step = 1
+    if ok(t):
+        hi = t
+        while True:
+            lo = max(0, hi - step)
+            if lo == 0 or not ok(lo):
+                break
+            hi, step = lo, 2 * step
+    else:
+        lo = t
+        while True:
+            if lo == _T_SEARCH_LIMIT:
+                raise _infeasible(p, b, target)
+            hi = min(lo + step, _T_SEARCH_LIMIT)
+            if ok(hi):
+                break
+            lo, step = hi, 2 * step
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if ok(mid):
@@ -391,42 +451,50 @@ def _mse_many(p: float, bs: np.ndarray, t: int) -> np.ndarray:
     Consecutive pool sizes share one support window, the union of their
     +/- 40-sigma windows; each chunk of them takes as many rows as keep
     rows x window within _MSE_ENTRIES, so the temporaries stay cache-sized
-    whatever t is.
+    whatever t is.  A chunk shares one _log_weights cumsum, that of its
+    middle row r0, and row r adds (k - m0)(odds_r - odds_r0) to it, which
+    is log(w_k / w_m0) for its own pool probability.  By concavity that is
+    at most (odds spread) x (window width), which _ODDS_SPAN bounds, so no
+    weight overflows; each row is divided by its own weight sum.
     """
     out = np.empty(len(bs), dtype=float)
     log_q = math.log1p(-p)
     start = 0
     while start < len(bs):
         # every window is at least min(t + 1, 26) wide, which bounds the rows
-        # that can join this chunk; the union window only widens as rows are
-        # added, so the rows that fit the budget are a prefix of them
+        # that can join this chunk; the union window and the odds spread only
+        # grow as rows are added, so the rows that fit are a prefix of them
         chunk = bs[start : start + max(1, _MSE_ENTRIES // min(t + 1, 26))]
-        probs = -np.expm1(chunk * log_q)
+        # log(1 - pool_prob) == b log(1-p) exactly, and stays finite even
+        # when pool_prob rounds to 1
+        log_qb = chunk * log_q
+        probs = -np.expm1(log_qb)
         means = t * probs
         halves = 40.0 * np.sqrt(means * (1.0 - probs)) + 25.0
         lows = np.minimum.accumulate(np.maximum(0, np.floor(means - halves)))
         highs = np.maximum.accumulate(np.minimum(t, np.floor(means + halves) + 1))
-        fits = (highs - lows + 1) * np.arange(1, len(chunk) + 1) <= _MSE_ENTRIES
+        widths = highs - lows + 1
+        odds = np.log(probs) - log_qb
+        spreads = np.maximum.accumulate(odds) - np.minimum.accumulate(odds)
+        fits = (widths * np.arange(1, len(chunk) + 1) <= _MSE_ENTRIES) & (
+            spreads * widths <= _ODDS_SPAN
+        )
         rows = max(1, int(np.count_nonzero(fits)))
-        chunk, probs = chunk[:rows], probs[:rows]
-        k = np.arange(int(lows[rows - 1]), int(highs[rows - 1]) + 1)
-        with np.errstate(divide="ignore"):
-            # log(1 - pool_prob) == b log(1-p) exactly, and stays finite even
-            # when pool_prob rounds to 1
-            logw = (
-                gammaln(t + 1)
-                - gammaln(k + 1)
-                - gammaln(t - k + 1)
-                + k[None, :] * np.log(probs)[:, None]
-                + (t - k)[None, :] * (chunk * log_q)[:, None]
-            )
-            ph = -np.expm1(np.log1p(-k / t)[None, :] / chunk[:, None])
-        ph[:, k == t] = 1.0
-        # w (ph - p)^2 in place: the chunk's 2-D temporaries are its memory
-        ph -= p
+        chunk, odds = chunk[:rows], odds[:rows]
+        k = np.arange(lows[rows - 1], highs[rows - 1] + 1)
+        mid = rows // 2
+        m0 = min(t, int((t + 1) * probs[mid]))
+        w = np.multiply.outer(odds - odds[mid], k - m0)
+        w += _log_weights(k, t, m0, odds[mid])
+        np.exp(w, out=w)
+        # w (ph - p)^2 in place, as (expm1(.) + p)^2 since ph = -expm1(.):
+        # the chunk's 2-D temporaries are its memory
+        ph = _log_negatives_share(k, t) / chunk[:, None]
+        np.expm1(ph, out=ph)
+        ph += p
         ph *= ph
-        ph *= np.exp(logw, out=logw)
-        out[start : start + rows] = ph.sum(axis=1)
+        ph *= w
+        out[start : start + rows] = ph.sum(axis=1) / w.sum(axis=1)
         start += rows
     # b == 1 entries: exact closed form
     out[bs == 1] = p * (1.0 - p) / t

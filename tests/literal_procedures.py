@@ -20,11 +20,16 @@ patterns of a batch with the literal walk, and sterrett_expected_tests_recursive
 runs the O(b^2) recursion over the first positive's position to large b,
 both against the Sterrett closed form; and gibbs_gower draws every sample of
 every pool of a Gibbs-Gower study, against the binomial shortcut the Monte
-Carlo harness draws positive-pool counts with.
+Carlo harness draws positive-pool counts with; tests_needed_by_bisection
+solves for a pool count by plain bisection from 0, against the gallop from
+the asymptotic count that gg_tests_needed brackets the answer with.
 """
+
+import math
 
 import numpy as np
 
+from poolscreen import estimation
 from poolscreen._validate import integer, prob
 from poolscreen.designs import ArrayDesign, DorfmanDesign, HypercubeDesign, SterrettDesign
 from poolscreen.estimation import PoolTestOutcome, gg_estimate
@@ -234,3 +239,23 @@ def gibbs_gower(p, plan, seed):
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     positive = int((rng.random((plan.num_pools, plan.pool_size)) < p).any(axis=1).sum())
     return gg_estimate(PoolTestOutcome(plan.num_pools, positive, plan.pool_size))
+
+
+def tests_needed_by_bisection(p, b, target):
+    """Smallest pool count t whose exact NRMSE meets the target, by bisection
+    over (0, limit] from the start; None where even the limit misses it."""
+    bound = target * (1.0 + estimation._REL_GUARD)
+
+    def ok(t):
+        return math.sqrt(estimation._exact_moments(p, b, t)[1]) / p <= bound
+
+    lo, hi = 0, estimation._T_SEARCH_LIMIT
+    if not ok(hi):
+        return None
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if ok(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi

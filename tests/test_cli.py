@@ -449,14 +449,14 @@ class TestExactText:
          ("estimate", "--plan", "--prevalence-guess", "0.01", "--target-nrmse", "0.15",
           "--cap", "20"),
          _kv(mode="plan", prevalence_guess=0.01, pool_size=20, num_pools=244,
-             total_samples=4880, predicted_nrmse=0.14992269805585554,
+             total_samples=4880, predicted_nrmse=0.14992269805583425,
              individual_tests_needed=4400, efficiency_gain=18.0327868852459)),
         ("estimate-plan-cost",
          ("estimate", "--plan", "--prevalence-guess", "0.05", "--sample-cost", "1",
           "--test-cost", "10"),
          _kv(mode="plan-cost", prevalence_guess=0.05, sample_cost=1.0, test_cost=10.0,
              pool_size=13, num_pools=93, total_samples=1209, objective_value=2139.0,
-             predicted_nrmse=0.14946948165118884)),
+             predicted_nrmse=0.1494694816511891)),
         ("dilution", ("dilution", *DILUTION, "--prevalence", "0.01", "--pool-size", "10"),
          _kv(individual_false_negative_rate=0.005920529220334023,
              pooled_false_negative_rate=0.5920133070819105,

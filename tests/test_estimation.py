@@ -1,6 +1,7 @@
 """Unit tests for pooled prevalence estimation and planning."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
+import literal_procedures
 from poolscreen import estimation
 from poolscreen.designs import ConstraintSet
 from poolscreen.estimation import (
@@ -107,6 +109,14 @@ class TestExactMoments:
             assert gg_expected_estimate(p, b, t) == pytest.approx(e_ref, rel=1e-10)
             assert gg_mse(p, b, t) == pytest.approx(m_ref, rel=1e-8)
 
+    @pytest.mark.parametrize("t", [244, 12_345, 100_000])
+    def test_matches_exact_reference(self, t):
+        for p, b in [(0.01, 20), (0.05, 13), (0.3, 2), (0.3, 26), (1e-4, 1428)]:
+            e_ref, m_ref = _exact_reference(p, b, t)
+            expected, mse = estimation._exact_moments(p, b, t)
+            assert expected == pytest.approx(e_ref, rel=1e-13), (p, b)
+            assert mse == pytest.approx(m_ref, rel=1e-13), (p, b)
+
     def test_reference_rmse_cells(self):
         assert math.sqrt(gg_mse(0.05, 28, 100)) == pytest.approx(6.28e-3, rel=0.002)
         assert math.sqrt(gg_mse(0.001, 1428, 100)) == pytest.approx(1.29e-4, rel=0.005)
@@ -133,27 +143,52 @@ class TestExactMoments:
         assert gg_mse(p, b, t) == pytest.approx(float(np.sum(w * (ph - p) ** 2)), rel=1e-13)
 
 
-def _full_support_mse(p, b, t):
-    """Exact MSE at one pool size as a plain sum over all t + 1 positive-pool
-    counts: no window, no shared support.
+def _exact_reference(p, b, t):
+    """(E[p_hat], MSE) of the pooled estimator in decimal arithmetic at 40
+    significant digits, with no NumPy and no log-gamma: an oracle whose own
+    error is far below any double-precision rounding.
 
-    log(1 - P) is b log(1-p), which stays finite where P rounds to 1.  The
-    sum is ill-conditioned at large t (log-gamma terms near 1e6), so it
-    takes log P from NumPy, as the library does: math.log can differ by an
-    ulp, which moves the sum by ~6e-12 at t = 1e5.  For the same reason b = 1
-    is the binomial variance p(1-p)/t; its sum is 2e-11 off at t = 1e5.
+    p is taken at its exact binary value.  The weights are the binomial
+    terms relative to the mode, by the exact ratio w_(k+1) / w_k =
+    (t-k)/(k+1) * P/(1-P), walked outward until they fall below 1e-45 of
+    the mode's, and normalized by their sum.  The estimate 1 - x^(1/b) at
+    x = 1 - k/t takes one Newton step on y^b = x from its double-precision
+    value, which leaves it below 1e-20 relative at the pool sizes tested here.
     """
-    if b == 1:
-        return p * (1.0 - p) / t
-    log_q = math.log1p(-p)
-    P = -np.expm1(b * log_q)
-    k = np.arange(t + 1)
-    logw = (gammaln(t + 1) - gammaln(k + 1) - gammaln(t - k + 1)
-            + k * np.log(P) + (t - k) * (b * log_q))
-    with np.errstate(divide="ignore"):
-        ph = -np.expm1(np.log1p(-k / t) / b)
-    ph[t] = 1.0
-    return float(np.sum(np.exp(logw) * (ph - p) ** 2))
+    with localcontext() as ctx:
+        ctx.prec = 40
+        one, p_ = Decimal(1), Decimal(p)
+        q = (one - p_) ** b  # exact to the working precision, however small
+        odds = (one - q) / q
+        mode = min(t, int((t + 1) * (one - q)))
+        tiny = Decimal(10) ** -45
+        ks, ws = [mode], [one]
+        w = one
+        for k in range(mode, t):
+            w = w * (t - k) / (k + 1) * odds
+            if w < tiny:
+                break
+            ks.append(k + 1)
+            ws.append(w)
+        w = one
+        for k in range(mode, 0, -1):
+            w = w * k / ((t - k + 1) * odds)
+            if w < tiny:
+                break
+            ks.append(k - 1)
+            ws.append(w)
+        first = second = Decimal(0)
+        for k, w in zip(ks, ws):
+            y = Decimal(0)
+            if k < t:
+                x = Decimal(t - k) / t
+                y = Decimal((1.0 - k / t) ** (1.0 / b))
+                y_b1 = y ** (b - 1)
+                y -= (y_b1 * y - x) / (b * y_b1)
+            first += w * (one - y)
+            second += w * (one - y - p_) ** 2
+        total = sum(ws)
+        return float(first / total), float(second / total)
 
 
 class TestMseSweep:
@@ -166,7 +201,7 @@ class TestMseSweep:
     @pytest.mark.parametrize("t", [1, 2, 7, 100, 1000, 12_345, 100_000])
     def test_matches_full_support_sum(self, monkeypatch, t):
         for p in (1e-4, 0.01, 0.3):
-            expected = np.array([_full_support_mse(p, int(b), t) for b in self.SIZES])
+            expected = np.array([_exact_reference(p, int(b), t)[1] for b in self.SIZES])
             for budget in (estimation._MSE_ENTRIES, 500, 1):
                 monkeypatch.setattr(estimation, "_MSE_ENTRIES", budget)
                 got = estimation._mse_many(p, self.SIZES, t)
@@ -255,7 +290,7 @@ class TestTestsNeeded:
         # an unclamped gallop step past the limit would accept 1,000,979 pools
         p, b, target = 0.05166312281427339, 194, 0.016670930644760346
         limit = estimation._T_SEARCH_LIMIT
-        assert math.sqrt(_full_support_mse(p, b, limit)) / p > target
+        assert math.sqrt(_exact_reference(p, b, limit)[1]) / p > target
         with pytest.raises(InfeasibleDesignError, match=f"needs more than {limit} pools"):
             gg_tests_needed(p, b, target)
 
@@ -265,8 +300,29 @@ class TestTestsNeeded:
         p, b, target = 0.10609379076057374, 101, 0.04480709458131086
         t = gg_tests_needed(p, b, target)
         assert t == 909_957
-        assert math.sqrt(_full_support_mse(p, b, t)) / p <= target
-        assert math.sqrt(_full_support_mse(p, b, t - 1)) / p > target
+        assert math.sqrt(_exact_reference(p, b, t)[1]) / p <= target
+        assert math.sqrt(_exact_reference(p, b, t - 1)[1]) / p > target
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.floats(1e-3, 0.3), st.integers(2, 60), st.floats(0.03, 1.0))
+    def test_gallop_matches_bisection_from_zero(self, p, b, target):
+        expected = literal_procedures.tests_needed_by_bisection(p, b, target)
+        if expected is None:
+            with pytest.raises(InfeasibleDesignError):
+                gg_tests_needed(p, b, target)
+        else:
+            assert gg_tests_needed(p, b, target) == expected
+
+    def test_gallop_evaluations(self, monkeypatch):
+        # the answer is one above the asymptotic count of 898, so the first
+        # two probes bracket it
+        calls = []
+        exact = estimation._exact_moments
+        monkeypatch.setattr(estimation, "_exact_moments",
+                            lambda p, b, t: calls.append(t) or exact(p, b, t))
+        assert gg_tests_needed(0.01, 5, 0.15) == 899
+        assert gg_tests_needed(0.01, 5, 0.15, method="asymptotic") == 898
+        assert calls == [898, 899]
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,11 @@
-"""The package namespace re-exports exactly the modules' public names."""
+"""The package namespace re-exports exactly the modules' public names, and
+the package runs without loading SciPy, a test-only dependency."""
 
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import pytest
 
@@ -30,3 +35,21 @@ def test_package_reexports_each_modules_list():
     for module in MODULES:
         for name in set(module.__all__) - NOT_REEXPORTED:
             assert getattr(poolscreen, name) is getattr(module, name)
+
+
+def test_runtime_loads_no_scipy():
+    # SciPy is a test-only oracle; a fresh interpreter that imports the
+    # package and runs a CLI report must not load any of it
+    code = (
+        "import sys, poolscreen, poolscreen.cli\n"
+        "poolscreen.cli.main(['design', '--prevalence', '0.02'])\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "sys.exit(f'scipy modules loaded: {loaded}' if loaded else 0)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert "architecture: dorfman" in result.stdout
