@@ -192,8 +192,9 @@ def _exact_reference(p, b, t):
 
 
 class TestMseSweep:
-    """_mse_many sums each pool size over a window shared by a chunk of pool
-    sizes, the chunk sized by an entry budget; neither may show in results."""
+    """_mse_many sums each pool size over a window and a log-weight cumsum
+    shared by a chunk of pool sizes, the chunk sized by an entry budget and an
+    odds span; none of it may show in results."""
 
     # a contiguous run, then scattered sizes out of order
     SIZES = np.r_[np.arange(1, 31), 3000, 700, 2, 100, 2999, 5, 1500]
@@ -203,10 +204,13 @@ class TestMseSweep:
         for p in (1e-4, 0.01, 0.3):
             expected = np.array([_exact_reference(p, int(b), t)[1] for b in self.SIZES])
             for budget in (estimation._MSE_ENTRIES, 500, 1):
-                monkeypatch.setattr(estimation, "_MSE_ENTRIES", budget)
-                got = estimation._mse_many(p, self.SIZES, t)
-                np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0,
-                                           err_msg=f"p={p} t={t} budget={budget}")
+                for span in (estimation._ODDS_SPAN, 1.0):
+                    monkeypatch.setattr(estimation, "_MSE_ENTRIES", budget)
+                    monkeypatch.setattr(estimation, "_ODDS_SPAN", span)
+                    got = estimation._mse_many(p, self.SIZES, t)
+                    np.testing.assert_allclose(
+                        got, expected, rtol=1e-12, atol=0,
+                        err_msg=f"p={p} t={t} budget={budget} span={span}")
 
 
 class TestAsymptoticVariance:
