@@ -758,8 +758,15 @@ def classification_crossovers(
         return (dorfman_optimal_batch(rho, cons).cost(rho)
                 - array_expected_tests_per_person(rho, array_side))
 
+    # the grid in one pass per batch size: the least Dorfman cost over
+    # 2..cap, less the array cost, as diff computes them one prevalence at a time
     rhos = np.linspace(lo, hi, grid)
-    values = np.array([diff(r) for r in rhos])
+    log_q = np.log1p(-rhos)
+    dorfman = np.full(grid, np.inf)
+    for b in range(2, dorfman_cap + 1):
+        np.minimum(dorfman, 1.0 / b - np.expm1(b * log_q), out=dorfman)
+    array_f = -np.expm1(array_side * log_q)
+    values = dorfman - (2.0 / array_side + array_f * array_f)
     crossings = []
     for i in np.nonzero(np.diff(np.sign(values)) != 0)[0]:
         a, b = rhos[i], rhos[i + 1]

@@ -26,18 +26,27 @@ Planning conventions:
 
 * "tests needed" is the smallest integer t whose exact normalized RMSE
   (sqrt(MSE)/p) meets the target.
-* optimal pool size at a test budget minimizes the exact MSE over b.
+* with every pool positive the estimate is 1, so
+  MSE(b, t) >= (1 - (1-p)^b)^t (1-p)^2, a floor that grows with b; both
+  pool-size planners sweep only the sizes whose floor stays within a known
+  MSE, since no larger size can beat it.
+* optimal pool size at a test budget minimizes the exact MSE over b.  The
+  size near the asymptotic optimum, 1.594 / -log(1-p), bounds the least
+  MSE, and the sweep stops where the floor passes that bound.
 * optimal pool size for a target first minimizes the integer test
   requirement, then breaks the (wide) ties by the smallest exact MSE at that
   requirement.  The search is exhaustive in b and assumes only that the
-  NRMSE falls as t grows; its cost grows with the pool sizes it sweeps,
-  about 1/p (some 0.05 s at p = 1e-4, 1 s at 1e-5, 10 s at 1e-6).
+  NRMSE falls as t grows.  It starts from the lesser requirement of the
+  sizes 1.2 / -log(1-p) and 1.594 / -log(1-p), and drops the sizes whose
+  floor alone misses the target there; its cost grows with the pool sizes
+  it sweeps, about 1/p (some 0.02 s at p = 1e-4, 0.24 s at
+  1e-5, 2.7 s at 1e-6).
 * cost minimization ranks pool sizes by the fractional test requirement
   (the real-valued t where the exact NRMSE crosses the target), which avoids
   integer-rounding cliffs in the objective, then reports the integer
   requirement of the winner.  The search is exhaustive in b and bounded by
   the target planner's least requirement; it evaluates about 1/p sizes, so
-  its time grows as 1/p too (some 0.8 s at p = 1e-4, 2 s at 3e-5).
+  its time grows as 1/p too (some 0.3 s at p = 1e-4, 0.9 s at 3e-5).
 """
 
 from __future__ import annotations
@@ -83,6 +92,9 @@ _T_SEARCH_LIMIT = 1_000_000  # internal ceiling when solving for a test count
 _MSE_ENTRIES = 1 << 15  # (pool size, support point) pairs per _mse_many chunk
 _ODDS_SPAN = 600.0  # largest (odds spread) x (window width) in one _mse_many chunk
 _REL_GUARD = 1e-9  # tolerance when comparing an NRMSE against its target
+# x* / -log(1-p) minimizes the asymptotic requirement (x* solves x e^x = 2 (e^x - 1))
+_X_STAR = 1.5936242600400401
+_START_XS = (1.2, _X_STAR)  # the target planner's start sizes, as x / -log(1-p)
 
 
 class InfeasibleDesignError(Exception):
@@ -359,6 +371,45 @@ def _nrmse_unchecked(p: float, b: int, t: int) -> float:
     return math.sqrt(_exact_moments(p, b, t)[1]) / p
 
 
+def _tests_needed_exact(p: float, b: int, target: float) -> tuple[int, float, float]:
+    """Smallest t whose exact NRMSE meets the target, with the NRMSE at t - 1
+    (inf at t - 1 == 0) and at t: the two ends of the search's last bracket."""
+    bound = target * (1.0 + _REL_GUARD)
+    # gallop from the asymptotic count in steps of 1, 2, 4, ... until lo
+    # misses the target (lo = 0 is a sentinel) and hi meets it, never past
+    # the search limit, then bisect; the answer is mostly 1 or 2 above it
+    t = _ceil_slack(min(_asymptotic_tests_real(p, b, target), _T_SEARCH_LIMIT))
+    step, n = 1, _nrmse_unchecked(p, b, t)
+    if n <= bound:
+        hi, n_hi = t, n
+        while True:
+            lo, n_lo = max(0, hi - step), math.inf
+            if lo == 0:
+                break
+            n_lo = _nrmse_unchecked(p, b, lo)
+            if n_lo > bound:
+                break
+            hi, n_hi, step = lo, n_lo, 2 * step
+    else:
+        lo, n_lo = t, n
+        while True:
+            if lo == _T_SEARCH_LIMIT:
+                raise _infeasible(p, b, target)
+            hi = min(lo + step, _T_SEARCH_LIMIT)
+            n_hi = _nrmse_unchecked(p, b, hi)
+            if n_hi <= bound:
+                break
+            lo, n_lo, step = hi, n_hi, 2 * step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        n = _nrmse_unchecked(p, b, mid)
+        if n <= bound:
+            hi, n_hi = mid, n
+        else:
+            lo, n_lo = mid, n
+    return hi, n_lo, n_hi
+
+
 def gg_tests_needed(
     p: float, b: int, target_nrmse: float, method: str = "exact"
 ) -> int:
@@ -378,40 +429,7 @@ def gg_tests_needed(
     if b == 1 or method == "asymptotic":
         # at b == 1 the exact MSE is p(1-p)/t, identical to the asymptotic form
         return _asymptotic_tests(p, b, target)
-
-    bound = target * (1.0 + _REL_GUARD)
-
-    def ok(t: int) -> bool:
-        return _nrmse_unchecked(p, b, t) <= bound
-
-    # gallop from the asymptotic count in steps of 1, 2, 4, ... until lo
-    # misses the target (lo = 0 is a sentinel) and hi meets it, never past
-    # the search limit, then bisect; the answer is mostly 1 or 2 above it
-    t = _ceil_slack(min(_asymptotic_tests_real(p, b, target), _T_SEARCH_LIMIT))
-    step = 1
-    if ok(t):
-        hi = t
-        while True:
-            lo = max(0, hi - step)
-            if lo == 0 or not ok(lo):
-                break
-            hi, step = lo, 2 * step
-    else:
-        lo = t
-        while True:
-            if lo == _T_SEARCH_LIMIT:
-                raise _infeasible(p, b, target)
-            hi = min(lo + step, _T_SEARCH_LIMIT)
-            if ok(hi):
-                break
-            lo, step = hi, 2 * step
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return _tests_needed_exact(p, b, target)[0]
 
 
 def gg_tests_needed_real(p: float, b: int, target_nrmse: float) -> float:
@@ -423,13 +441,13 @@ def gg_tests_needed_real(p: float, b: int, target_nrmse: float) -> float:
     p = prob(p, open_zero=True, open_one=True)
     b = integer(b, 1, "pool size")
     target = real(target_nrmse, "target_nrmse", strict=True)
-    t_int = gg_tests_needed(p, b, target)
+    if b == 1:
+        t_int = _asymptotic_tests(p, b, target)
+        return 1.0 if t_int == 1 else _asymptotic_tests_real(p, b, target)
+    # the search has evaluated both ends of the bracket; n_lo is inf at t_int == 1
+    t_int, n_lo, n_hi = _tests_needed_exact(p, b, target)
     if t_int == 1:
         return 1.0
-    if b == 1:
-        return _asymptotic_tests_real(p, b, target)
-    n_lo = _nrmse_unchecked(p, b, t_int - 1)
-    n_hi = _nrmse_unchecked(p, b, t_int)
     if n_lo <= n_hi:  # degenerate; should not happen, NRMSE decreases in t
         return float(t_int)
     frac = (n_lo - target) / (n_lo - n_hi)
@@ -501,32 +519,60 @@ def _mse_many(p: float, bs: np.ndarray, t: int) -> np.ndarray:
     return out
 
 
+def _saturation_cap(p: float, t: int, mse: float, b_max: int) -> int:
+    """Last pool size up to b_max whose all-pools-positive term does not
+    exceed mse (1 + _REL_GUARD), plus one against rounding.
+
+    With every pool positive the estimate is 1, so
+    MSE(b, t) >= (1 - (1-p)^b)^t (1-p)^2, a floor that grows with b: no size
+    past the cap has an MSE within mse.  b_max where the floor bounds nothing
+    (mse <= 0, or mse at least (1-p)^2).
+    """
+    if mse <= 0.0:
+        return b_max
+    log_q = math.log1p(-p)
+    log_ratio = 0.5 * math.log(mse * (1.0 + _REL_GUARD)) - log_q
+    if log_ratio >= 0.0:
+        return b_max
+    # (1 - q^b)^t <= e^(2 log_ratio)  <=>  b <= log(-expm1(2 log_ratio / t)) / log q
+    last = math.log(-math.expm1(2.0 * log_ratio / t)) / log_q
+    return b_max if last >= b_max else int(last) + 1
+
+
+def _start_size(p: float, x: float, b_max: int) -> int:
+    """The pool size x / -log(1-p), rounded and clipped to 1..b_max."""
+    return min(max(1, round(x / -math.log1p(-p))), b_max)
+
+
 def _optimal_pool_fixed_tests(p: float, t: int, b_max: int) -> GibbsGowerPlan:
-    bs = np.arange(1, b_max + 1)
+    # the size near the asymptotic optimum bounds the least MSE, and sizes
+    # whose all-pools-positive term alone exceeds that bound cannot win
+    mse = _exact_moments(p, _start_size(p, _X_STAR, b_max), t)[1]
+    bs = np.arange(1, _saturation_cap(p, t, mse, b_max) + 1)
     mses = _mse_many(p, bs, t)
     best = int(bs[int(np.argmin(mses))])  # argmin takes the first = smallest b on ties
     return GibbsGowerPlan(best, t)
 
 
 def _optimal_pool_target(p: float, target: float, b_max: int) -> GibbsGowerPlan:
-    log_q = math.log1p(-p)
-    # any size's requirement bounds t*; take the size x* / -log(1-p) that
-    # minimizes the asymptotic one (x* solves x e^x = 2 (e^x - 1))
-    b0 = min(max(1, round(1.5936242600400401 / -log_q)), b_max)
-    try:
-        t_hi = gg_tests_needed(p, b0, target)
-    except InfeasibleDesignError:
+    # any size's requirement bounds t*; take the least over sizes near the
+    # asymptotic optimum and below it, where the exact optimum lies at the
+    # pool counts a loose target needs
+    needs = []
+    for b0 in sorted({_start_size(p, x, b_max) for x in _START_XS}):
+        try:
+            needs.append(gg_tests_needed(p, b0, target))
+        except InfeasibleDesignError:
+            pass
+    if not needs:
         raise InfeasibleDesignError(
             f"no pool size up to {b_max} reaches NRMSE {target} at prevalence {p}"
-        ) from None
+        )
+    t_hi = min(needs)
     bound = target * (1.0 + _REL_GUARD)
-    # every pool positive gives the estimate 1, so MSE >= (1 - (1-p)^b)^t (1-p)^2;
-    # sizes past b_sat miss the target on that term alone at every t <= t_hi
-    b_sat = b_max
-    log_ratio = math.log(bound * p / (1.0 - p))
-    if log_ratio < 0.0:
-        b_sat = min(b_max, int(math.log(-math.expm1(2.0 * log_ratio / t_hi)) / log_q) + 1)
-    bs = np.arange(1, b_sat + 1)
+    # sizes past the cap miss the target on the all-pools-positive term alone
+    # at every t <= t_hi
+    bs = np.arange(1, _saturation_cap(p, t_hi, (bound * p) ** 2, b_max) + 1)
     mses = _mse_many(p, bs, t_hi)
     # bisect t in (0, t_hi]: a size that meets the target at t - 1 also meets
     # it at t, so the candidates shrink to the sizes that meet it at hi

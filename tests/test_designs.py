@@ -496,3 +496,30 @@ class TestBestDesign:
         lo, hi = classification_crossovers()
         assert 0.018 <= lo <= 0.021
         assert 0.109 <= hi <= 0.114
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.integers(2, 40),
+        st.integers(2, 40),
+        st.floats(1e-4, 0.2),
+        st.floats(0.01, 0.5),
+        st.integers(2, 200),
+    )
+    @example(cap=8, side=8, lo=0.005, hi=0.2, grid=2000)
+    @example(cap=3, side=4, lo=0.005, hi=0.2, grid=200)
+    def test_crossovers_bisect_every_sign_change_of_the_scalar_costs(self, cap, side, lo, hi, grid):
+        # the oracle samples the public scalar costs, one prevalence at a
+        # time: one crossing inside each grid cell where their difference
+        # changes sign, and none elsewhere
+        hi = lo + hi
+        cons = ConstraintSet(max_pool_size=cap)
+        rhos = np.linspace(lo, hi, grid)
+        signs = np.sign([
+            dorfman_optimal_batch(r, cons).cost(r) - array_expected_tests_per_person(r, side)
+            for r in rhos
+        ])
+        cells = np.nonzero(np.diff(signs) != 0)[0]
+        crossings = classification_crossovers(cap, side, lo, hi, grid)
+        assert len(crossings) == len(cells)
+        for x, i in zip(crossings, cells):
+            assert rhos[i] <= x <= rhos[i + 1]

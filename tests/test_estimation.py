@@ -5,7 +5,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
@@ -328,6 +328,27 @@ class TestTestsNeeded:
         assert gg_tests_needed(0.01, 5, 0.15, method="asymptotic") == 898
         assert calls == [898, 899]
 
+    @pytest.mark.parametrize("p, b, target", [
+        (0.01, 5, 0.15), (0.05, 13, 0.15), (0.001, 131, 0.15), (0.3, 2, 2.0), (0.2, 40, 0.3),
+    ])
+    def test_real_valued_requirement_reuses_the_bracket(self, monkeypatch, p, b, target):
+        # the interpolation takes the NRMSE at t - 1 and t from the search's
+        # last bracket, so it costs no evaluation of its own
+        calls = []
+        exact = estimation._exact_moments
+        monkeypatch.setattr(estimation, "_exact_moments",
+                            lambda p, b, t: calls.append(t) or exact(p, b, t))
+        t = gg_tests_needed(p, b, target)
+        searched = list(calls)
+        calls.clear()
+        real = gg_tests_needed_real(p, b, target)
+        assert calls == searched
+        if t == 1:
+            assert real == 1.0
+        else:
+            n_lo, n_hi = gg_nrmse(p, b, t - 1), gg_nrmse(p, b, t)
+            assert real == (t - 1) + min(max((n_lo - target) / (n_lo - n_hi), 0.0), 1.0)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             gg_tests_needed(0.01, 5, 0.0)
@@ -340,6 +361,53 @@ class TestOptimalPool:
         assert gg_optimal_pool(0.05, fixed_tests=100).pool_size == 28
         assert gg_optimal_pool(0.01, fixed_tests=100).pool_size == 143
         assert gg_optimal_pool(0.001, fixed_tests=100).pool_size == 1428
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.floats(0.005, 0.45), st.integers(1, 3000), st.integers(1, 80))
+    @example(p=0.05, t=100, cap=None)
+    @example(p=0.01, t=100, cap=None)
+    @example(p=0.3, t=1, cap=80)
+    @example(p=0.005, t=300, cap=40)  # the start size 318 lies past the cap
+    def test_fixed_budget_matches_brute_force(self, p, t, cap):
+        # the scalar MSE at every size up to the cap; ties go to the smaller
+        b_max = math.ceil(10.0 / p) if cap is None else cap
+        best = min(range(1, b_max + 1), key=lambda b: (gg_mse(p, b, t), b))
+        assert gg_optimal_pool(p, fixed_tests=t, cap=cap) == GibbsGowerPlan(best, t)
+
+    def test_fixed_budget_sweep_stops_at_the_floor(self, monkeypatch):
+        # the default cap is 100,000 sizes; past about 16,000 the
+        # all-pools-positive term alone exceeds the MSE of the start size
+        rows = []
+        sweep = estimation._mse_many
+        monkeypatch.setattr(estimation, "_mse_many",
+                            lambda p, bs, t: rows.append(len(bs)) or sweep(p, bs, t))
+        assert gg_optimal_pool(1e-4, fixed_tests=100).pool_size == 13_721
+        assert sum(rows) <= 16_500
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.floats(1e-4, 0.45), st.integers(1, 100_000), st.floats(1e-12, 1.0))
+    def test_saturation_cap_is_one_past_the_floor(self, p, t, scale):
+        # the floor (1 - (1-p)^b)^t (1-p)^2 stays within the MSE up to the
+        # cap's predecessor and exceeds it one size past the cap
+        b_max = math.ceil(10.0 / p)
+        mse = scale * (1.0 - p) ** 2
+        cap = estimation._saturation_cap(p, t, mse, b_max)
+        assert 1 <= cap <= b_max
+
+        def floor(b):
+            return pool_positive_prob(p, b) ** t * (1.0 - p) ** 2
+
+        if cap < b_max:
+            assert floor(cap + 1) > mse
+        if cap > 1:
+            assert floor(cap - 1) <= mse * (1.0 + 1e-9)
+
+    def test_saturation_cap_without_a_bound(self):
+        # no logarithm of zero: an MSE of 0 or one at the floor's ceiling
+        # bounds nothing
+        assert estimation._saturation_cap(0.01, 100, 0.0, 1000) == 1000
+        assert estimation._saturation_cap(0.01, 100, 0.99**2, 1000) == 1000
+        assert estimation._saturation_cap(0.01, 100, 1.0, 1000) == 1000
 
     def test_target_mode_capped(self):
         plan = gg_optimal_pool(0.01, target_nrmse=0.15, cap=20)
