@@ -30,8 +30,10 @@ Each design class carries what callers dispatch on: ``cost(rho)``, its closed
 form, and ``block(positions, reps, n) -> (tests, presumed-positive mask, or
 None when every candidate is confirmed)``, the vectorized test count that the
 Monte Carlo harness runs on the sorted flat positions of the positives of
-reps rows of n people; Dorfman and Sterrett add ``noisy_block`` on dense
-statuses[reps, n] and pre-drawn uniforms.  No kernel draws random numbers.
+reps rows of n people; Dorfman and Sterrett add ``noisy_block``, which
+reads the same positions and two pre-drawn uniforms for each positive, and
+returns per-row tests, false positives, positive and missed pools, and a
+detected flag for each positive.  No kernel draws random numbers.
 The private ``_unit`` is the pool, batch or cluster size a kernel pads each
 row to whole multiples of, which the harness budgets its draws by.
 """
@@ -141,19 +143,30 @@ class DorfmanDesign:
             tests -= (b - tail) * (bounds[1:] - _row_bounds(pools, reps, units, units - 1)[:-1])
         return tests, None
 
-    def noisy_block(self, statuses: np.ndarray, miss: np.ndarray, uniforms: np.ndarray):
-        """(tests, detected mask, positive pools, missed pools) per replication;
-        in individual testing the pool of one is the person's only test."""
-        reps, n = statuses.shape
-        batches, pool_u, ind_hit, m = _noisy_units(statuses, self.batch_size, miss, uniforms)
-        positive = batches.any(axis=2)
-        flagged = positive & (pool_u[:, :, 0] >= miss[m])
-        if self.batch_size == 1:
-            tests, detected = np.full(reps, n), flagged[:, :, None]
+    def noisy_block(self, positions: np.ndarray, reps: int, n: int, miss: np.ndarray,
+                    uniforms: np.ndarray):
+        """(tests, false positives, positive pools, missed pools) per
+        replication, and whether each positive is detected.
+
+        A pool test reads column 0 of its first positive's uniforms, and a
+        retest column 1 of the retested positive's; in individual testing the
+        pool of one is the person's only test.
+        """
+        b = self.batch_size
+        units = -(-n // b)
+        pools = _padded(positions, n, b) // b
+        first = np.diff(pools, prepend=-1) != 0  # the first positive of each pool
+        pools = pools[first]
+        m = _unit_sizes(n, b)[pools % units]
+        flagged = uniforms[first, 0] >= miss[m]
+        bounds = _row_bounds(pools, reps, units)
+        if b == 1:
+            tests, detected = np.full(reps, n), flagged
         else:
-            tests, detected = len(m) + flagged @ m, flagged[:, :, None] & ind_hit
-        pools, missed = positive.sum(axis=1), (positive & ~flagged).sum(axis=1)
-        return tests, detected.reshape(reps, -1)[:, :n], pools, missed
+            tests = units + _row_sums(flagged * m, bounds)
+            detected = flagged[np.cumsum(first) - 1] & (uniforms[:, 1] >= miss[1])
+        return (tests, np.zeros(reps, np.int64), np.diff(bounds), _row_sums(~flagged, bounds),
+                detected)
 
 
 @dataclass(frozen=True)
@@ -227,40 +240,54 @@ class SterrettDesign:
         batches = batches[ends]
         m = members[batches % units]
         extra = np.where(last == m - 1, k + m - 2, k + last + 1)
-        sums = np.concatenate(([0], np.cumsum(extra)))[_row_bounds(batches, reps, units)]
-        return units + np.diff(sums), None
+        return units + _row_sums(extra, _row_bounds(batches, reps, units)), None
 
-    def noisy_block(self, statuses: np.ndarray, miss: np.ndarray, uniforms: np.ndarray):
-        """(tests, detected mask, positive pools, missed pools) per replication.
+    def noisy_block(self, positions: np.ndarray, reps: int, n: int, miss: np.ndarray,
+                    uniforms: np.ndarray):
+        """(tests, false positives, positive pools, missed pools) per
+        replication, and whether each positive is detected.
 
-        Scans the positions of every batch at once.  A batch either needs a
-        pool test on the segment starting here, is walking it member by
-        member, or is done; a walk that reaches the last real member infers
-        it positive without a test.
+        Every batch's walk at once.  A hit is a positive that its individual
+        test (column 1 of its uniforms) finds and that is not its batch's
+        last member, which is never tested.  A positive opens a segment, from
+        one past the previous hit, when it is its batch's first or follows a
+        hit; the segment's pool test reads column 0 of its opener's.  The
+        first missed segment ends its batch; a flagged segment without a hit
+        infers the last member positive, falsely when it is negative.
         """
-        reps, n = statuses.shape
-        batches, pool_u, ind_hit, m = _noisy_units(statuses, self.batch_size, miss, uniforms)
-        seg_positive = np.logical_or.accumulate(batches[:, :, ::-1], axis=2)[:, :, ::-1]
-        detected = np.zeros(batches.shape, dtype=bool)
-        tests, pools, missed = np.zeros((3,) + batches.shape[:2], dtype=np.int64)
-        need_pool = np.ones(batches.shape[:2], dtype=bool)
-        walking = np.zeros(batches.shape[:2], dtype=bool)
-        for j in range(self.batch_size):
-            positive = need_pool & seg_positive[:, :, j]
-            flagged = positive & (pool_u[:, :, j] >= miss[np.maximum(m - j, 0)])
-            tests += need_pool
-            pools += positive
-            missed += positive & ~flagged
-            walking |= flagged
-            last = j == m - 1
-            detected[:, :, j] = walking & last
-            walking &= ~last
-            tests += walking
-            need_pool = walking & ind_hit[:, :, j]
-            detected[:, :, j] |= need_pool
-            walking &= ~need_pool
-        return (tests.sum(axis=1), detected.reshape(reps, -1)[:, :n],
-                pools.sum(axis=1), missed.sum(axis=1))
+        b = self.batch_size
+        members = _unit_sizes(n, b)
+        units = len(members)
+        padded = _padded(positions, n, b)
+        batches = padded // b
+        j = padded - b * batches  # index in the batch
+        m = members[batches % units]
+        first = np.diff(batches, prepend=-1) != 0
+        last = j == m - 1
+        hit = (uniforms[:, 1] >= miss[1]) & ~last
+        opens = first.copy()
+        opens[1:] |= hit[:-1]
+        starts = np.flatnonzero(opens)
+        # each segment's last positive, before the next opener; opens[0] is
+        # set, so rolled to the end it closes the last segment
+        ends = np.flatnonzero(np.roll(opens, -1))
+        begin = np.where(first[starts], 0, j[starts - 1] + 1)
+        size = m[starts] - begin
+        flagged = uniforms[starts, 0] >= miss[size]
+        # a segment is reached when no earlier one of its batch was missed:
+        # the missed segments before it are those before its batch's first
+        missed_before = np.cumsum(~flagged) - ~flagged
+        reached = missed_before == np.maximum.accumulate(np.where(first[starts], missed_before, 0))
+        live = reached & flagged
+        seg_hit = hit[ends]
+        # beyond the batch's first pool test: the walk to the hit and the pool
+        # after it, or the walk up to the inferred last member
+        walked = np.where(seg_hit, j[ends] - begin + 2, size - 1) * live
+        bounds = _row_bounds(batches[starts], reps, units)
+        false_pos = live & ~seg_hit & ~last[ends]
+        detected = live[np.cumsum(opens) - 1] & (hit | last)
+        return (units + _row_sums(walked, bounds), _row_sums(false_pos, bounds),
+                _row_sums(reached, bounds), _row_sums(reached & ~flagged, bounds), detected)
 
 
 @dataclass(frozen=True)
@@ -546,20 +573,8 @@ def sterrett_optimal_batch(rho: float, constraints: ConstraintSet | None = None)
 
 
 # ---------------------------------------------------------------------------
-# block kernels shared by the designs: statuses[reps, n] at once
+# block kernels shared by the designs: reps rows of n people at once
 # ---------------------------------------------------------------------------
-
-def _units(statuses: np.ndarray, size: int) -> np.ndarray:
-    """statuses[reps, n] as consecutive units, shape (reps, units, size); the
-    tail unit is padded with known negatives (zeros)."""
-    reps, n = statuses.shape
-    units = -(-n // size)
-    if units * size == n:
-        return statuses.reshape(reps, units, size)
-    padded = np.zeros((reps, units * size), dtype=statuses.dtype)
-    padded[:, :n] = statuses
-    return padded.reshape(reps, units, size)
-
 
 def _unit_sizes(n: int, size: int) -> np.ndarray:
     """Real members of each consecutive unit of `size` covering n people."""
@@ -587,6 +602,11 @@ def _row_bounds(ids: np.ndarray, reps: int, units: int, unit: int = 0) -> np.nda
     sorted unit ids row * units + unit; at unit 0, row r's ids are
     ids[bounds[r]:bounds[r + 1]]."""
     return ids.searchsorted(np.arange(reps + 1) * units + unit)
+
+
+def _row_sums(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Sum of each row's values, rows bounded as _row_bounds bounds them."""
+    return np.diff(np.concatenate(([0], np.cumsum(values)))[bounds])
 
 
 def _grid_block(positions: np.ndarray, reps: int, n: int, b: int, d: int, confirm: bool):
@@ -657,22 +677,6 @@ def _count(a: np.ndarray) -> np.ndarray:
     """a.sum(axis=0) of a bool array, int32: a sum of byte rows, each running
     along the long axes, several times faster than the bool reduction."""
     return np.add.reduce(a.view(np.uint8), axis=0, dtype=np.int32)
-
-
-def _noisy_units(statuses: np.ndarray, b: int, miss: np.ndarray, uniforms: np.ndarray):
-    """(batches, pool_u, individual hits, batch sizes) of a noisy run on
-    statuses[reps, n] in consecutive batches of b.
-
-    uniforms[reps, 2, n] holds each replication's pool uniforms, then its
-    individual ones.  A pool test on the segment starting at person j reads
-    uniforms[:, 0, j] and misses a positive segment of size k when it is
-    below miss[k]; the individual test of person j reads uniforms[:, 1, j]
-    and finds a positive unless it is below miss[1].
-    """
-    batches = _units(statuses, b)
-    pool_u = _units(uniforms[:, 0], b)
-    ind_hit = batches & _units(uniforms[:, 1] >= miss[1], b)
-    return batches, pool_u, ind_hit, _unit_sizes(statuses.shape[1], b)
 
 
 # ---------------------------------------------------------------------------

@@ -199,39 +199,28 @@ def pool_positive_prob(p: float, b: int) -> float:
 def gg_estimate(outcome: PoolTestOutcome) -> float:
     """Prevalence estimate 1 - (1 - t_+/t)^(1/b) from a pooled outcome."""
     outcome = instance(outcome, PoolTestOutcome, "outcome")
-    if outcome.positive_pools == 0:
-        return 0.0
-    if outcome.positive_pools == outcome.num_pools:
-        return 1.0
-    frac = outcome.positive_pools / outcome.num_pools
-    return -math.expm1(math.log1p(-frac) / outcome.pool_size)
+    return float(_estimates_for_counts(outcome.positive_pools, outcome.num_pools,
+                                       outcome.pool_size))
 
 
-def _estimates_for_counts(t_plus: np.ndarray, t: int, b: int) -> np.ndarray:
-    """Vectorized estimator; t_plus is an integer array of positive-pool counts."""
-    t_plus = np.asarray(t_plus)
-    with np.errstate(divide="ignore"):
-        ph = -np.expm1(np.log1p(-t_plus / t) / b)
-    return np.where(t_plus == t, 1.0, ph)
+def _estimates_for_counts(t_plus, t: int, b: int) -> np.ndarray:
+    """The estimates for positive-pool counts t_plus out of t pools of b: 0
+    at none and 1 at every pool, where the log is -inf."""
+    # 0 - expm1, not -expm1: no pool positive gives 0.0, not -0.0
+    return 0.0 - np.expm1(_log_negatives_share(t_plus, t) / b)
 
 
-def _log_negatives_share(k: np.ndarray, t: int) -> np.ndarray:
-    """log(1 - k/t) for consecutive counts k, within an ulp or two: log1p up to
-    t/2, and past it log of (t-k)/t, which rounds once, where log1p would see
-    1 - k/t through the rounding of k/t.  -inf at k == t.
-
-    The exact moments take the estimate from this; _estimates_for_counts,
-    which the Monte Carlo harness draws estimates with, keeps gg_estimate's
-    log1p form, so seeded results do not move.
-    """
-    high = min(len(k), max(0, t // 2 + 1 - int(k[0])))  # k[high:] > t/2
-    if high == len(k):
+def _log_negatives_share(k, t: int) -> np.ndarray:
+    """log(1 - k/t) for integer counts 0 <= k <= t, within an ulp or two:
+    log1p up to t/2, and past it log of (t-k)/t, which rounds once, where
+    log1p would see 1 - k/t through the rounding of k/t.  -inf at k == t."""
+    k = np.asarray(k)
+    if k.max(initial=0) <= t // 2:
         return np.log1p(k / -t)
-    out = np.empty(len(k))
-    np.log1p(k[:high] / -t, out=out[:high])
+    high = k > t // 2
+    out = np.log1p(k / -t, out=np.empty(k.shape), where=~high)
     with np.errstate(divide="ignore"):
-        np.log((t - k[high:]) / t, out=out[high:])
-    return out
+        return np.log((t - k) / t, out=out, where=high)
 
 
 def _log_weights(k: np.ndarray, t: int, m: int, odds: float) -> np.ndarray:
@@ -290,7 +279,7 @@ def _exact_moments(p: float, b: int, t: int) -> tuple[float, float]:
         # forms so the specialization is exact to machine precision
         return p, p * (1.0 - p) / t
     k, w = _binomial_window(t, p, b)
-    ph = -np.expm1(_log_negatives_share(k, t) / b)  # the estimate at each count
+    ph = _estimates_for_counts(k, t, b)
     expected = float(np.dot(w, ph))
     ph -= p
     return expected, float(np.dot(w, ph * ph))
@@ -441,17 +430,23 @@ def gg_tests_needed_real(p: float, b: int, target_nrmse: float) -> float:
     p = prob(p, open_zero=True, open_one=True)
     b = integer(b, 1, "pool size")
     target = real(target_nrmse, "target_nrmse", strict=True)
+    return _tests_needed_pair(p, b, target)[0]
+
+
+def _tests_needed_pair(p: float, b: int, target: float) -> tuple[float, int]:
+    """(gg_tests_needed_real, gg_tests_needed) from one search, for checked
+    arguments."""
     if b == 1:
         t_int = _asymptotic_tests(p, b, target)
-        return 1.0 if t_int == 1 else _asymptotic_tests_real(p, b, target)
+        return (1.0 if t_int == 1 else _asymptotic_tests_real(p, b, target)), t_int
     # the search has evaluated both ends of the bracket; n_lo is inf at t_int == 1
     t_int, n_lo, n_hi = _tests_needed_exact(p, b, target)
     if t_int == 1:
-        return 1.0
+        return 1.0, t_int
     if n_lo <= n_hi:  # degenerate; should not happen, NRMSE decreases in t
-        return float(t_int)
+        return float(t_int), t_int
     frac = (n_lo - target) / (n_lo - n_hi)
-    return (t_int - 1) + min(max(frac, 0.0), 1.0)
+    return (t_int - 1) + min(max(frac, 0.0), 1.0), t_int
 
 
 # ---------------------------------------------------------------------------
@@ -643,7 +638,8 @@ def gg_minimize_cost(
     start = _optimal_pool_target(p, target, b_max)
     t_min, bound = start.num_pools, target * (1.0 + _REL_GUARD)
     best_b = start.pool_size
-    best = gg_tests_needed_real(p, best_b, target) * cost.objective(best_b, 1)
+    t_real, best_t = _tests_needed_pair(p, best_b, target)
+    best = t_real * cost.objective(best_b, 1)
     for b in range(1, b_max + 1):
         weight = cost.objective(b, 1)
         if (t_min - 1) * weight >= best:
@@ -652,14 +648,14 @@ def gg_minimize_cost(
         if b == best_b or _nrmse_unchecked(p, b, math.ceil(best / weight)) > bound:
             continue
         try:
-            v = gg_tests_needed_real(p, b, target) * weight
+            t_real, t_int = _tests_needed_pair(p, b, target)
         except InfeasibleDesignError:  # needs more pools than the search limit
             continue
+        v = t_real * weight
         if v < best or (v == best and b < best_b):
-            best_b, best = b, v
-    t_int = gg_tests_needed(p, best_b, target)
-    plan = GibbsGowerPlan(best_b, t_int)
-    return CostOptimum(plan, plan.total_samples, cost.objective(plan.total_samples, t_int))
+            best_b, best_t, best = b, t_int, v
+    plan = GibbsGowerPlan(best_b, best_t)
+    return CostOptimum(plan, plan.total_samples, cost.objective(plan.total_samples, best_t))
 
 
 def estimation_rule_of_thumb(p_guess: float) -> GibbsGowerPlan:

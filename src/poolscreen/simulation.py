@@ -9,8 +9,8 @@ is validated against.
 The test counting belongs to the designs: each design class of the designs
 module has one kernel, block, that counts the tests of a whole block of
 replications at once from the sorted positions of its positives, and Dorfman
-and Sterrett designs have a noisy_block that reads dense statuses and
-pre-drawn uniforms (see designs._noisy_units).  This module draws the
+and Sterrett designs have a noisy_block that reads the same positions and two
+pre-drawn noise uniforms for each positive.  This module draws the
 populations and the noise, runs the kernels and aggregates.  The literal
 one-pool-at-a-time procedures live in the test suite
 (tests/literal_procedures.py), which checks the kernels against them test
@@ -25,9 +25,8 @@ number of workers - and rerunning with the same seed is bit-identical.
 Aggregation happens on per-replication arrays indexed by r, which makes it
 order-insensitive by construction.  Nor do results depend on row sub-chunks:
 to bound memory, every block is drawn and reduced a few rows at a time, as
-the sorted positions of each sub-chunk's positives (made dense only for the
-noisy kernels), and consecutive draws read each stream in the same order as
-one whole draw would.
+the sorted positions of each sub-chunk's positives, and consecutive draws
+read each stream in the same order as one whole draw would.
 
 A block's statuses are one Bernoulli(p) sequence, row after row, drawn as
 geometric gaps between occurrences of the rarer outcome (positives for
@@ -37,7 +36,11 @@ _draw_rows).  The batch size is part of the reproducibility contract, like
 BLOCK_REPS.  A gap is floor(log1p(-u) / log1p(-r)), so the statuses are
 Bernoulli(p) up to floating-point rounding in the logarithms, not exactly to
 2**-53 as a comparison of one uniform per status would be.  The dilution
-noise is drawn as uniforms, two per person.
+noise is drawn as uniforms, two per positive in position order, the first for
+the pool test of the pool or segment the positive opens, the second for its
+individual test; negatives draw none, since noise cannot change a test on a
+negative pool or person.  So how much of stream 1 a block reads depends on
+its positives alone.
 
 Pool membership is consecutive-block assignment; statuses are i.i.d., so any
 assignment rule yields the same distribution.  Populations that do not divide
@@ -79,7 +82,7 @@ BLOCK_REPS = 4096
 
 # Row budget of a sub-chunk, 8 bytes per person: about a million statuses,
 # or an int64 position for each at any p (a noisy block draws two noise
-# uniforms per person alongside).  Blocks are drawn and reduced in row
+# uniforms per positive alongside).  Blocks are drawn and reduced in row
 # sub-chunks of this size, so the working set is bounded whatever the
 # population size.
 _DRAW_BYTES = 8 << 20
@@ -156,14 +159,6 @@ def _draw_rows(rng: np.random.Generator, lo: int, hi: int, n: int, p: float, uni
             negative[positions] = True
             positions = np.flatnonzero(~negative)
         yield slice(a, z), positions
-
-
-def _statuses(positions: np.ndarray, reps: int, n: int) -> np.ndarray:
-    """Dense statuses[reps, n] from the flat positions of the positives, for
-    the noisy kernels."""
-    statuses = np.zeros(reps * n, bool)
-    statuses[positions] = True
-    return statuses.reshape(reps, n)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +265,8 @@ def _monte_carlo_classification(design, p, n, reps, seed, noise, workers):
     tests, fp, fn, n_pos, pool_pos, pool_missed = np.zeros((6, reps), dtype=np.int64)
 
     if noise is not None:
-        miss = _miss_probs(noise, design.batch_size, p)
+        # no pool or segment has more real members than the population
+        miss = _miss_probs(noise, min(design.batch_size, n), p)
 
     def do_block(item):
         block, (lo, hi) = item
@@ -281,20 +277,21 @@ def _monte_carlo_classification(design, p, n, reps, seed, noise, workers):
             count = rows.stop - rows.start
             if noise is None:
                 tests[rows], positive = design.block(positions, count, n)
-            else:
-                # row r reads its n pool uniforms, then its n individual ones
-                uniforms = noise_rng.random((count, 2, n))
-                tests[rows], positive, pool_pos[rows], pool_missed[rows] = design.noisy_block(
-                    _statuses(positions, count, n), miss, uniforms
-                )
-            # without a mask every status is confirmed: sensitivity and
-            # specificity are 1 whatever the positives count, so none is taken
-            if positive is not None:
+                # without a mask every status is confirmed: sensitivity and
+                # specificity are 1 whatever the positives count, so none is taken
+                if positive is None:
+                    continue
                 row = positions // n
-                missed = ~positive[row, positions - row * n]
-                n_pos[rows] = np.bincount(row, minlength=count)
-                fn[rows] = np.bincount(row[missed], minlength=count)
-                fp[rows] = positive.sum(axis=1) - n_pos[rows] + fn[rows]
+                detected = positive[row, positions - row * n]
+                fp[rows] = positive.sum(axis=1) - np.bincount(row[detected], minlength=count)
+            else:
+                # two uniforms per positive, in position order
+                uniforms = noise_rng.random((len(positions), 2))
+                (tests[rows], fp[rows], pool_pos[rows], pool_missed[rows],
+                 detected) = design.noisy_block(positions, count, n, miss, uniforms)
+                row = positions // n
+            n_pos[rows] = np.bincount(row, minlength=count)
+            fn[rows] = np.bincount(row[~detected], minlength=count)
 
     _run_blocks(do_block, reps, workers)
 

@@ -9,10 +9,13 @@ tests with a vectorized kernel, block, and the tests check those kernels
 against these loops; run() therefore dispatches on its own, never through
 block.
 
-The noisy walks read a population's pre-drawn uniforms[2, n] in the layout
-of poolscreen.designs._noisy_units: a pool test on the segment starting at
-person j reads uniforms[0, j] and misses a positive segment of size k when
-it is below miss[k]; the individual test of person j reads uniforms[1, j].
+The noisy walks read a population's pre-drawn uniforms[k, 2], two for each
+of its k positives in position order, as the Monte Carlo harness draws them:
+a test on a positive pool or segment of size m reads column 0 of the
+uniforms of its first positive and misses when that is below miss[m]; the
+individual test of a positive reads column 1 of its own and misses when that
+is below miss[1].  Tests on negative pools and negative people read nothing,
+for the noise model has no false positive tests.
 
 More oracles check closed forms and shortcuts of the library:
 sterrett_expected_tests_enumerated prices every one of the 2^b infection
@@ -174,7 +177,7 @@ def noisy_dorfman(statuses, b, miss, uniforms):
     """(tests, detected mask, positive pools, missed pools) of one noisy
     Dorfman run; b == 1 tests each person once, as a pool of one."""
     statuses = np.asarray(statuses, dtype=bool)
-    pool_u, ind_u = uniforms
+    index = np.cumsum(statuses) - 1  # a positive's row of uniforms
     n = len(statuses)
     tests = 0
     detected = np.zeros(n, dtype=bool)
@@ -182,10 +185,11 @@ def noisy_dorfman(statuses, b, miss, uniforms):
     for lo in range(0, n, b):
         hi = min(lo + b, n)
         tests += 1
-        if not statuses[lo:hi].any():
+        members = np.flatnonzero(statuses[lo:hi]) + lo
+        if not len(members):
             continue
         positive_pools += 1
-        if pool_u[lo] < miss[hi - lo]:
+        if uniforms[index[members[0]], 0] < miss[hi - lo]:
             missed_pools += 1
             continue
         if b == 1:
@@ -193,7 +197,7 @@ def noisy_dorfman(statuses, b, miss, uniforms):
             continue
         for j in range(lo, hi):
             tests += 1
-            if statuses[j] and ind_u[j] >= miss[1]:
+            if statuses[j] and uniforms[index[j], 1] >= miss[1]:
                 detected[j] = True
     return tests, detected, positive_pools, missed_pools
 
@@ -202,9 +206,10 @@ def noisy_sterrett(statuses, b, miss, uniforms):
     """(tests, detected mask, positive pools, missed pools) of one noisy
     Sterrett run: a flagged pool is walked member by member until an
     individual test comes back positive, and the untested remainder is pooled
-    again; a walk that reaches the last member infers it positive untested."""
+    again; a walk that reaches the last member infers it positive untested,
+    a false positive when it is negative."""
     statuses = np.asarray(statuses, dtype=bool)
-    pool_u, ind_u = uniforms
+    index = np.cumsum(statuses) - 1  # a positive's row of uniforms
     n = len(statuses)
     tests = 0
     detected = np.zeros(n, dtype=bool)
@@ -213,16 +218,17 @@ def noisy_sterrett(statuses, b, miss, uniforms):
         end = min(start + b, n)
         while start < end:
             tests += 1
-            if not statuses[start:end].any():
+            members = np.flatnonzero(statuses[start:end]) + start
+            if not len(members):
                 break
             positive_pools += 1
-            if pool_u[start] < miss[end - start]:
+            if uniforms[index[members[0]], 0] < miss[end - start]:
                 missed_pools += 1
                 break
             found = None
             for j in range(start, end - 1):
                 tests += 1
-                if statuses[j] and ind_u[j] >= miss[1]:
+                if statuses[j] and uniforms[index[j], 1] >= miss[1]:
                     found = j
                     break
             if found is None:

@@ -46,6 +46,7 @@ class TestEstimator:
     def test_edge_values(self):
         assert gg_estimate(PoolTestOutcome(10, 0, 8)) == 0.0
         assert gg_estimate(PoolTestOutcome(10, 10, 8)) == 1.0
+        assert math.copysign(1.0, gg_estimate(PoolTestOutcome(10, 0, 8))) == 1.0  # not -0.0
 
     def test_reduces_to_proportion_at_b1(self):
         assert gg_estimate(PoolTestOutcome(100, 13, 1)) == pytest.approx(0.13, abs=1e-15)
@@ -55,6 +56,22 @@ class TestEstimator:
             PoolTestOutcome(5, 6, 4)
         with pytest.raises(ValueError):
             PoolTestOutcome(0, 0, 4)
+
+    @pytest.mark.parametrize("t", [1000, 100_000])
+    @pytest.mark.parametrize("b", [2, 8, 26])
+    def test_matches_decimal_oracle_past_half(self, t, b):
+        # past t/2, 1 - k/t is taken as the once-rounded (t - k)/t, not
+        # through the rounding of k/t; the Monte Carlo's vectorized estimates,
+        # on counts out of order, are the same numbers
+        counts = np.unique(np.linspace(t // 2, t - 1, 200).astype(np.int64))[::-1]
+        vectorized = estimation._estimates_for_counts(counts, t, b)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            for k, value in zip(counts.tolist(), vectorized):
+                exact = 1 - (Decimal(t - k) / t) ** (Decimal(1) / b)
+                estimate = gg_estimate(PoolTestOutcome(t, k, b))
+                assert estimate == value
+                assert abs(Decimal(estimate) - exact) <= Decimal("1e-15") * exact, (k, estimate)
 
     @settings(deadline=None, max_examples=200)
     @given(st.integers(1, 200), st.integers(1, 30), st.data())

@@ -27,7 +27,7 @@ CALLS = [
     ("monte_carlo-array-5", lambda: monte_carlo(ArrayDesign(5), 0.0175, 12_000, 4096, seed=1)),
     ("monte_carlo-array-presumed",
      lambda: monte_carlo(ArrayDesign(8, confirm_stage=False), 0.01, 19_968, 4096, seed=1)),
-    # a noisy block also draws two noise uniforms per person and replication
+    # a noisy block also draws two noise uniforms per positive
     ("monte_carlo-noisy", lambda: monte_carlo(DorfmanDesign(10), 0.01, 2_000, 4096, seed=1,
                                               noise=DilutionScenario(1.0, 20.0, 5.0, 1, 0.01))),
     # 100 people in one padded 30x30x30 cluster: the kernel works on rows of

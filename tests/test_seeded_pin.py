@@ -46,7 +46,7 @@ MONTE_CARLO_CASES = [
 ]
 
 SEEDED_SHA256 = "ecb2d19418ad742a2b9f543f4cd0263517e8f06f3a607fe0658cc0e399f5c4c5"
-NOISY_SHA256 = "71909d0549ffa7bf4c4b513d2b96cd004da3d1298f4832d652b1cf7464647751"
+NOISY_SHA256 = "3e151036eba02123ef83862d36a323a7668234dd9c50fc2649e7c79f37fff5f5"
 
 
 def _outcome(block, statuses):

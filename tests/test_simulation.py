@@ -2,6 +2,7 @@
 
 import math
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
@@ -49,9 +50,16 @@ def draw_positions(rows, n, p, seed):
     return np.concatenate([positions + r.start * n for r, positions in chunks])
 
 
+def dense(positions, rows, n):
+    """statuses[rows, n] from the flat positions of the positives."""
+    statuses = np.zeros(rows * n, bool)
+    statuses[positions] = True
+    return statuses.reshape(rows, n)
+
+
 def draw_rows(rows, n, p, seed):
     """The first `rows` populations of a run's first block, as statuses."""
-    return simulation._statuses(draw_positions(rows, n, p, seed), rows, n)
+    return dense(draw_positions(rows, n, p, seed), rows, n)
 
 
 def draw(n, p, seed):
@@ -311,7 +319,7 @@ class TestKernelEquivalence:
         design = ArrayDesign(4, confirm_stage=False)
         rng = simulation._block_rng(seed, 0)
         (_, positions), = simulation._draw_rows(rng, 0, reps, n, p, design._unit)
-        statuses = simulation._statuses(positions, reps, n)
+        statuses = dense(positions, reps, n)
         presumed = [literal.grid(row, 4, 2, confirm=False)[1] for row in statuses]
         false_pos = sum(int((mask & ~row).sum()) for mask, row in zip(presumed, statuses))
         negatives = reps * n - int(statuses.sum())
@@ -380,15 +388,27 @@ def sizes_and_miss_rates(draw):
 
 
 def assert_noisy_matches_literal(design, statuses, miss, seed):
-    """noisy_block equals the literal noisy walk on the same uniforms, row by row."""
-    uniforms = np.random.default_rng(seed).random((len(statuses), 2, statuses.shape[1]))
-    tests, detected, pools, missed = design.noisy_block(statuses, miss, uniforms)
+    """noisy_block equals the literal noisy walk on the same per-positive
+    uniforms, row by row: tests, positive and missed pools, the detected flag
+    of every positive, and the false positives."""
+    reps, n = statuses.shape
+    positions = np.flatnonzero(statuses)
+    uniforms = np.random.default_rng(seed).random((len(positions), 2))
+    # the harness's miss rates end at the largest pool the population holds
+    tests, false_pos, pools, missed, detected = design.noisy_block(
+        positions, reps, n, miss[: min(design.batch_size, n) + 1], uniforms
+    )
     walk = literal.noisy_dorfman if isinstance(design, DorfmanDesign) else literal.noisy_sterrett
+    bounds = np.r_[0, np.cumsum(statuses.sum(axis=1))]
     for r, row in enumerate(statuses):
-        literal_out = walk(row, design.batch_size, miss, uniforms[r])
-        assert tests[r] == literal_out[0]
-        assert np.array_equal(detected[r], literal_out[1])
-        assert (pools[r], missed[r]) == literal_out[2:]
+        lo, hi = bounds[r], bounds[r + 1]
+        literal_tests, literal_detected, *literal_pools = walk(
+            row, design.batch_size, miss, uniforms[lo:hi]
+        )
+        assert tests[r] == literal_tests
+        assert np.array_equal(detected[lo:hi], literal_detected[row])
+        assert false_pos[r] == int((literal_detected & ~row).sum())
+        assert [pools[r], missed[r]] == literal_pools
 
 
 class TestNoisyKernel:
@@ -397,6 +417,13 @@ class TestNoisyKernel:
     @example(  # ragged tail of 5
         case=(9, np.r_[0.0, [0.5] * 9]), statuses=np.eye(95, dtype=bool)[[4, 89, 90, 94]], seed=0
     )
+    @example(  # batches longer than the population
+        case=(7, np.r_[0.0, [0.3] * 7]), statuses=np.array([[0, 0, 1], [1, 1, 1]], bool), seed=1
+    )
+    @example(  # never missed, and always missed
+        case=(4, np.r_[0.0, [0.0] * 4]), statuses=np.eye(10, dtype=bool)[[0, 3, 5]], seed=2
+    )
+    @example(case=(4, np.r_[0.0, [1.0] * 4]), statuses=np.ones((2, 10), bool), seed=3)
     def test_noisy_block_matches_literal(self, case, statuses, seed):
         b, miss = case
         assert_noisy_matches_literal(DorfmanDesign(b), statuses, miss, seed)
@@ -571,6 +598,51 @@ class TestDilutionNoise:
         assert out.pool_miss_rate == pytest.approx(expected, abs=3.5 * se)
         assert out.sensitivity < 1.0
         assert out.specificity == 1.0
+
+    @pytest.mark.parametrize("p", [0.01, 0.05])
+    @pytest.mark.parametrize("b", [1, 5, 10])
+    def test_dorfman_matches_closed_forms(self, b, p):
+        # full pools of b: a positive pool is flagged unless it misses, at
+        # m_b, and each positive of a flagged pool is then found unless its
+        # retest misses, at m_1, independently; in individual testing the
+        # pool of one is the only test.  A noise layout that let the pool
+        # test and a retest share a uniform would move the sensitivity.
+        noise = DilutionScenario(1.0, 20.0, 2.0, 1, p)
+        n, reps = 100, 20_000
+        m = simulation._miss_probs(noise, b, p)
+        out = monte_carlo(DorfmanDesign(b), p, n, reps, seed=40 + b, noise=noise)
+        pool_found, retest_found = 1.0 - m[b], (1.0 - m[1] if b > 1 else 1.0)
+        tests = 1.0 if b == 1 else 1.0 / b + (1.0 - (1.0 - p) ** b) * pool_found
+        assert abs(out.mean_tests - tests) <= 3 * out.se_tests
+        # SE by the delta method over pools: a pool's detections less the
+        # sensitivity times its K ~ Binomial(b, p) positives have mean 0 and
+        # variance E[Var(detections | K)]
+        k1, k2 = b * p, b * p * (1.0 - p) + (b * p) ** 2  # E[K], E[K^2]
+        var = pool_found * (retest_found * (1.0 - retest_found) * k1
+                            + (1.0 - pool_found) * retest_found**2 * k2)
+        pools = reps * n // b
+        se = math.sqrt(var / pools) / k1
+        assert abs(out.sensitivity - pool_found * retest_found) <= 3 * se
+
+    def test_pool_larger_than_population(self, monkeypatch):
+        # miss rates are taken only up to the population, the largest pool
+        # it holds: pools of 10^12 cost what one pool of all 20 people does
+        asked = []
+        miss_probs = simulation._miss_probs
+
+        def recorded(noise, size, p):
+            asked.append(size)
+            return miss_probs(noise, size, p)
+
+        monkeypatch.setattr(simulation, "_miss_probs", recorded)
+        noise = self.scenario()
+        for huge, whole in ((DorfmanDesign(10**12), DorfmanDesign(20)),
+                            (SterrettDesign(10**12), SterrettDesign(20))):
+            start = time.perf_counter()
+            out = monte_carlo(huge, 0.05, 20, 10, seed=7, noise=noise)
+            assert time.perf_counter() - start < 1.0
+            assert out == monte_carlo(whole, 0.05, 20, 10, seed=7, noise=noise)
+        assert asked == [20] * 4
 
     def test_noise_only_for_sequential_designs(self, monkeypatch):
         # rejected on entry, before any miss rate is computed or any status drawn
