@@ -34,8 +34,9 @@ reps rows of n people; Dorfman and Sterrett add ``noisy_block``, which
 reads the same positions and two pre-drawn uniforms for each positive, and
 returns per-row tests, false positives, positive and missed pools, and a
 detected flag for each positive.  No kernel draws random numbers.
-The private ``_unit`` is the pool, batch or cluster size a kernel pads each
-row to whole multiples of, which the harness budgets its draws by.
+The private ``_unit(n)`` is the pool, batch or cluster size a kernel pads
+each row of n people to whole multiples of, which the harness budgets its
+draws by.
 """
 
 from __future__ import annotations
@@ -122,7 +123,11 @@ class DorfmanDesign:
     def kind(self) -> str:
         return "individual" if self.batch_size == 1 else "dorfman"
 
-    _unit = property(lambda self: self.batch_size)
+    def _unit(self, n: int) -> int:
+        """The pool the kernels pad rows of n people to: a pool past the
+        population holds the same people as one of max(2, n) and costs the
+        same, and a pool of 1 stays individual testing."""
+        return min(self.batch_size, max(2, n))
 
     def cost(self, rho: float) -> float:
         return dorfman_expected_tests_per_person(rho, self.batch_size)
@@ -130,7 +135,7 @@ class DorfmanDesign:
     def block(self, positions: np.ndarray, reps: int, n: int):
         """One test per pool plus a retest of every real member of a positive
         pool; b == 1 is individual testing, one test per person."""
-        b = self.batch_size
+        b = self._unit(n)
         if b == 1:
             return np.full(reps, n), None
         units = -(-n // b)
@@ -152,7 +157,7 @@ class DorfmanDesign:
         retest column 1 of the retested positive's; in individual testing the
         pool of one is the person's only test.
         """
-        b = self.batch_size
+        b = self._unit(n)
         units = -(-n // b)
         pools = _padded(positions, n, b) // b
         first = np.diff(pools, prepend=-1) != 0  # the first positive of each pool
@@ -179,7 +184,8 @@ class ArrayDesign:
         object.__setattr__(self, "side", integer(self.side, 2, "array side"))
         object.__setattr__(self, "confirm_stage", boolean(self.confirm_stage, "confirm_stage"))
 
-    _unit = property(lambda self: self.side**2)
+    def _unit(self, n: int) -> int:
+        return self.side**2
 
     def cost(self, rho: float) -> float:
         return array_expected_tests_per_person(rho, self.side, self.confirm_stage)
@@ -198,7 +204,8 @@ class HypercubeDesign:
         object.__setattr__(self, "side", integer(self.side, 2, "hypercube side"))
         object.__setattr__(self, "dimension", integer(self.dimension, 2, "hypercube dimension"))
 
-    _unit = property(lambda self: self.side**self.dimension)
+    def _unit(self, n: int) -> int:
+        return self.side**self.dimension
 
     def cost(self, rho: float) -> float:
         return hypercube_expected_tests_per_person(rho, self.side, self.dimension)
@@ -215,7 +222,9 @@ class SterrettDesign:
     def __post_init__(self):
         object.__setattr__(self, "batch_size", integer(self.batch_size, 2, "batch size"))
 
-    _unit = property(lambda self: self.batch_size)
+    def _unit(self, n: int) -> int:
+        """The batch the kernels pad rows of n people to, as for Dorfman."""
+        return min(self.batch_size, max(2, n))
 
     def cost(self, rho: float) -> float:
         return sterrett_expected_tests_per_batch(rho, self.batch_size) / self.batch_size
@@ -229,7 +238,7 @@ class SterrettDesign:
         l + 1 individual tests and the clean remainder pool).  Every batch
         costs its 1, and each run of positives in one batch adds the rest.
         """
-        b = self.batch_size
+        b = self._unit(n)
         members = _unit_sizes(n, b)
         units = len(members)
         padded = _padded(positions, n, b)
@@ -255,7 +264,7 @@ class SterrettDesign:
         first missed segment ends its batch; a flagged segment without a hit
         infers the last member positive, falsely when it is negative.
         """
-        b = self.batch_size
+        b = self._unit(n)
         members = _unit_sizes(n, b)
         units = len(members)
         padded = _padded(positions, n, b)

@@ -113,13 +113,20 @@ def max_pool_size_for_threshold(
 ) -> int:
     """Largest pool size whose introduced false-negative rate meets a threshold.
 
-    Scans downward from max_pool (the introduced rate only grows with the
-    pool size); returns 1 when no pooling is acceptable.
+    Bisects on 1..max_pool (the introduced rate only grows with the pool
+    size); returns 1 when no pooling is acceptable.
     """
     base = instance(base, DilutionScenario, "base")
     threshold = real(threshold, "threshold")
     max_pool = integer(max_pool, 1, "max_pool")
-    for n in range(max_pool, 1, -1):
-        if introduced_false_negative_rate(base.with_pool_size(n)) <= threshold:
-            return n
-    return 1
+    lo, hi = 1, max_pool
+    if introduced_false_negative_rate(base.with_pool_size(hi)) <= threshold:
+        return hi
+    # lo meets the threshold (a pool of 1 introduces nothing), hi misses it
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if introduced_false_negative_rate(base.with_pool_size(mid)) <= threshold:
+            lo = mid
+        else:
+            hi = mid
+    return lo

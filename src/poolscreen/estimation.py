@@ -11,7 +11,10 @@ error of the estimator exactly.  The binomial weights come from the ratio of
 consecutive terms, log(w_k / w_(k-1)) = log((t-k+1)/k) + log(P/(1-P)),
 summed outward from the mode and normalized to unit sum, with log(1-P) taken
 as b log1p(-p): no gamma function is called, so no large log-gamma terms
-cancel, and the tail beyond +/- 40 sigma (below e^-700) is never formed.
+cancel.  The sum runs over a window around the mean whose half-width comes
+from Bernstein's tail bound, sized so that the omitted counts can add at most
+2^-60 of the MSE; after the sum a geometric bound on the omitted terms, from
+the window's edge weights, proves it, and a window that fails is widened.
 
 The familiar large-t approximation
 
@@ -57,7 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import designs
-from ._validate import exp_or_inf, instance, integer, positive_fraction, prob, real
+from ._validate import _INT64_MAX, exp_or_inf, instance, integer, positive_fraction, prob, real
 
 __all__ = [
     "InfeasibleDesignError",
@@ -91,7 +94,10 @@ MAX_EXACT_POOL_COUNT = 100_000
 _T_SEARCH_LIMIT = 1_000_000  # internal ceiling when solving for a test count
 _MSE_ENTRIES = 1 << 15  # (pool size, support point) pairs per _mse_many chunk
 _ODDS_SPAN = 600.0  # largest (odds spread) x (window width) in one _mse_many chunk
+_SWEEP_ROWS = 1 << 12  # pool sizes whose windows _mse_many sizes at once
 _REL_GUARD = 1e-9  # tolerance when comparing an NRMSE against its target
+_TAIL_SHARE = 2.0**-60  # most of the MSE the counts a window leaves out may add
+_LOG_HALF_SHARE = math.log(2.0 / _TAIL_SHARE)  # -log of each side's half of it
 # x* / -log(1-p) minimizes the asymptotic requirement (x* solves x e^x = 2 (e^x - 1))
 _X_STAR = 1.5936242600400401
 _START_XS = (1.2, _X_STAR)  # the target planner's start sizes, as x / -log(1-p)
@@ -246,43 +252,99 @@ def _log_weights(k: np.ndarray, t: int, m: int, odds: float) -> np.ndarray:
     return out
 
 
-def _binomial_window(t: int, p: float, b: int) -> tuple[np.ndarray, np.ndarray]:
-    """Support points and probabilities of the positive-pool count
-    Binomial(t, 1 - (1-p)^b).
+def _half_widths(p: float, t: int, log_b, odds, var):
+    """(below, above): how far the windows of Binomial(t, P) counts reach
+    below and above their means, for pool sizes of log log_b, with
+    odds = log(P / (1-P)) and variances var (floats or arrays alike).
 
-    Only the +/- 40-sigma window is materialized; omitted tail terms are below
-    e^-700 and cannot move a double-precision sum.  The weights sum to one.
+    Bernstein's inequality puts at most e^-L of the mass more than
+    x = (L + sqrt(L^2 + 18 L var)) / 3 above the mean, and as much below it.
+    Each side's L asks its mass, times the largest squared error an omitted
+    count there can carry (p^2 below, (1-p)^2 above), for half of
+    _TAIL_SHARE of the MSE.  The MSE is taken as the asymptotic variance
+    v = P (1-p)^2 / (t b^2 (1-P)), lowered to max(p, 1-p)^2, which no MSE
+    exceeds, and further where an L would fall below 1; so every half-width
+    is positive, and a window that _tails_negligible rejects after the sum
+    grows when they are doubled.
     """
-    pool_prob = positive_fraction(p, b)
-    if pool_prob <= 0.0:
-        return np.array([0]), np.array([1.0])
-    if pool_prob >= 1.0:
-        return np.array([t]), np.array([1.0])
+    log_errs = (math.log(p), math.log1p(-p))
+    log_inv_mse = math.log(t) - 2.0 * log_errs[1] + 2.0 * log_b - odds  # log(1 / v)
+    least = max(-2.0 * max(log_errs), 1.0 - _LOG_HALF_SHARE - 2.0 * min(log_errs))
+    # max(log_inv_mse, least), for floats and arrays alike
+    log_inv_mse = log_inv_mse + (least - log_inv_mse) * (log_inv_mse < least)
+    var18 = 18.0 * var
+    widths = []
+    for log_err in log_errs:
+        budget = _LOG_HALF_SHARE + 2.0 * log_err + log_inv_mse
+        widths.append((budget + (budget * (budget + var18)) ** 0.5) / 3.0)
+    return widths
+
+
+def _tails_negligible(p: float, t: int, k_lo, k_hi, odds, w_lo, w_hi, mse):
+    """Whether the counts below k_lo and above k_hi can add at most
+    _TAIL_SHARE of mse, for windows whose edge weights w_lo, w_hi are on the
+    scale of mse (floats or arrays, one per pool size).
+
+    A window holds its mean t P, where the estimate is p, so an omitted
+    count's squared error is at most (1-p)^2 above it and p^2 below it.  The
+    ratio r = (t-k)/(k+1) P/(1-P) of consecutive binomial terms falls as k
+    grows, and is below 1 past the mean, so the mass above k_hi is at most
+    w_hi r/(1-r) at k = k_hi; below k_lo likewise.
+    """
+    excess = 0.0
+    if k_hi < t:
+        excess = excess + (1.0 - p) ** 2 * _geometric_tail(
+            w_hi, math.log((t - k_hi) / (k_hi + 1)) + odds)
+    if k_lo > 0:
+        excess = excess + p * p * _geometric_tail(w_lo, math.log(k_lo / (t - k_lo + 1)) - odds)
+    return excess <= _TAIL_SHARE * mse
+
+
+def _geometric_tail(w, log_ratio):
+    """w r/(1-r) for r = e^log_ratio below 1: the sum past a term w whose
+    outward ratios start at r and fall."""
+    r = np.exp(log_ratio)
+    return w * r / (1.0 - r)
+
+
+def _binomial_window(t: int, p: float, b: int) -> tuple[float, float]:
+    """(E[p_hat], E[(p_hat - p)^2]) summed over a window of the positive-pool
+    count Binomial(t, 1 - (1-p)^b), for 0 < p < 1.
+
+    The window takes _half_widths, doubled until _tails_negligible proves
+    that the omitted counts cannot move the MSE; its weights are normalized
+    to unit sum.
+    """
     log_q = b * math.log1p(-p)  # log(1 - P) without the cancellation in 1 - P
+    pool_prob = -math.expm1(log_q)
+    odds = math.log(pool_prob) - log_q
     mean = t * pool_prob
-    half = 40.0 * math.sqrt(mean * (1.0 - pool_prob)) + 25.0
-    k_lo = max(0, int(mean - half))
-    k_hi = min(t, int(mean + half) + 1)
-    k = np.arange(float(k_lo), k_hi + 1)  # float counts: no int-to-float casts
     mode = min(t, int((t + 1) * pool_prob))
-    w = np.exp(_log_weights(k, t, mode, math.log(pool_prob) - log_q))
-    w /= w.sum()
-    return k, w
+    below, above = _half_widths(p, t, math.log(b), odds, mean * math.exp(log_q))
+    while True:
+        k_lo = max(0, int(mean - below))
+        k_hi = min(t, int(mean + above) + 1)
+        k = np.arange(float(k_lo), k_hi + 1)  # float counts: no int-to-float casts
+        w = np.exp(_log_weights(k, t, mode, odds))
+        w /= w.sum()
+        ph = _estimates_for_counts(k, t, b)
+        expected = float(np.dot(w, ph))
+        ph -= p
+        mse = float(np.dot(w, ph * ph))
+        if _tails_negligible(p, t, k_lo, k_hi, odds, w[0], w[-1], mse):
+            return expected, mse
+        below, above = 2.0 * below, 2.0 * above
 
 
 def _exact_moments(p: float, b: int, t: int) -> tuple[float, float]:
     """(E[p_hat], E[(p_hat - p)^2]) without argument validation."""
-    if p == 0.0:
-        return 0.0, 0.0
+    if p in (0.0, 1.0):  # every pool negative, or every pool positive
+        return p, 0.0
     if b == 1:
         # the estimator reduces to the sample proportion; keep the closed
         # forms so the specialization is exact to machine precision
         return p, p * (1.0 - p) / t
-    k, w = _binomial_window(t, p, b)
-    ph = _estimates_for_counts(k, t, b)
-    expected = float(np.dot(w, ph))
-    ph -= p
-    return expected, float(np.dot(w, ph * ph))
+    return _binomial_window(t, p, b)
 
 
 def gg_expected_estimate(p: float, b: int, t: int) -> float:
@@ -454,49 +516,78 @@ def _tests_needed_pair(p: float, b: int, target: float) -> tuple[float, int]:
 # ---------------------------------------------------------------------------
 
 def _default_pool_cap(p: float) -> int:
-    # beyond ~10/p almost every pool is positive and the estimator saturates
-    return int(math.ceil(10.0 / p))
+    # beyond ~10/p almost every pool is positive and the estimator saturates;
+    # a size past int64 is no pool size (10/p overflows at the tiniest p)
+    cap = 10.0 / p
+    return math.ceil(cap) if cap < 2.0**63 else _INT64_MAX
 
 
 def _mse_many(p: float, bs: np.ndarray, t: int) -> np.ndarray:
     """Exact MSE for many pool sizes at a fixed pool count (vectorized).
 
-    Consecutive pool sizes share one support window, the union of their
-    +/- 40-sigma windows; each chunk of them takes as many rows as keep
-    rows x window within _MSE_ENTRIES, so the temporaries stay cache-sized
-    whatever t is.  A chunk shares one _log_weights cumsum, that of its
-    middle row r0, and row r adds (k - m0)(odds_r - odds_r0) to it, which
-    is log(w_k / w_m0) for its own pool probability.  By concavity that is
-    at most (odds spread) x (window width), which _ODDS_SPAN bounds, so no
-    weight overflows; each row is divided by its own weight sum.
+    Each pool size's window is sized and checked as in _binomial_window; the
+    sizes whose check fails are summed again with their half-widths doubled.
+    The sizes go through _mse_sweep _SWEEP_ROWS at a time, which bounds its
+    per-size arrays however many sizes there are.
     """
     out = np.empty(len(bs), dtype=float)
-    log_q = math.log1p(-p)
+    for lo in range(0, len(bs), _SWEEP_ROWS):
+        block = bs[lo : lo + _SWEEP_ROWS]
+        mses, proven = _mse_sweep(p, block, t, 1.0)
+        widen = 1.0
+        while not proven.all():
+            redo, widen = ~proven, 2.0 * widen
+            mses[redo], proven[redo] = _mse_sweep(p, block[redo], t, widen)
+        out[lo : lo + len(block)] = mses
+    # b == 1 entries: exact closed form
+    out[bs == 1] = p * (1.0 - p) / t
+    return out
+
+
+def _mse_sweep(p: float, bs: np.ndarray, t: int, widen: float):
+    """(MSE, proven) for each pool size, over windows of widen times the
+    _half_widths; proven where _tails_negligible holds for its row.
+
+    Consecutive pool sizes share one support window, the union of their
+    windows; each chunk of them takes as many rows as keep rows x window
+    within _MSE_ENTRIES, so the temporaries stay cache-sized whatever t is.
+    A chunk shares one _log_weights cumsum, that of its middle row r0, and
+    row r adds (k - m0)(odds_r - odds_r0) to it, which is log(w_k / w_m0)
+    for its own pool probability.  By concavity that is at most (odds
+    spread) x (window width), which _ODDS_SPAN bounds, so no weight
+    overflows; each row is divided by its own weight sum.
+    """
+    out = np.empty(len(bs), dtype=float)
+    proven = np.empty(len(bs), dtype=bool)
+    # log(1 - pool_prob) == b log(1-p) exactly, and stays finite even when
+    # pool_prob rounds to 1
+    log_qb = bs * math.log1p(-p)
+    probs = -np.expm1(log_qb)
+    means = t * probs
+    all_odds = np.log(probs) - log_qb
+    below, above = _half_widths(p, t, np.log(bs), all_odds, means * np.exp(log_qb))
+    all_lows = np.maximum(0, np.floor(means - widen * below))
+    all_highs = np.minimum(t, np.floor(means + widen * above) + 1)
     start = 0
     while start < len(bs):
-        # every window is at least min(t + 1, 26) wide, which bounds the rows
-        # that can join this chunk; the union window and the odds spread only
-        # grow as rows are added, so the rows that fit are a prefix of them
-        chunk = bs[start : start + max(1, _MSE_ENTRIES // min(t + 1, 26))]
-        # log(1 - pool_prob) == b log(1-p) exactly, and stays finite even
-        # when pool_prob rounds to 1
-        log_qb = chunk * log_q
-        probs = -np.expm1(log_qb)
-        means = t * probs
-        halves = 40.0 * np.sqrt(means * (1.0 - probs)) + 25.0
-        lows = np.minimum.accumulate(np.maximum(0, np.floor(means - halves)))
-        highs = np.maximum.accumulate(np.minimum(t, np.floor(means + halves) + 1))
+        # the candidates are as many rows as fit in windows min(t + 1, 26)
+        # wide, about the narrowest; the union window and the odds spread
+        # only grow as rows are added, so the rows that fit are a prefix
+        stop = start + max(1, _MSE_ENTRIES // min(t + 1, 26))
+        odds = all_odds[start:stop]
+        lows = np.minimum.accumulate(all_lows[start:stop])
+        highs = np.maximum.accumulate(all_highs[start:stop])
         widths = highs - lows + 1
-        odds = np.log(probs) - log_qb
         spreads = np.maximum.accumulate(odds) - np.minimum.accumulate(odds)
-        fits = (widths * np.arange(1, len(chunk) + 1) <= _MSE_ENTRIES) & (
+        fits = (widths * np.arange(1, len(odds) + 1) <= _MSE_ENTRIES) & (
             spreads * widths <= _ODDS_SPAN
         )
         rows = max(1, int(np.count_nonzero(fits)))
-        chunk, odds = chunk[:rows], odds[:rows]
-        k = np.arange(lows[rows - 1], highs[rows - 1] + 1)
+        chunk, odds = bs[start : start + rows], odds[:rows]
+        k_lo, k_hi = lows[rows - 1], highs[rows - 1]
+        k = np.arange(k_lo, k_hi + 1)
         mid = rows // 2
-        m0 = min(t, int((t + 1) * probs[mid]))
+        m0 = min(t, int((t + 1) * probs[start + mid]))
         w = np.multiply.outer(odds - odds[mid], k - m0)
         w += _log_weights(k, t, m0, odds[mid])
         np.exp(w, out=w)
@@ -507,11 +598,12 @@ def _mse_many(p: float, bs: np.ndarray, t: int) -> np.ndarray:
         ph += p
         ph *= ph
         ph *= w
-        out[start : start + rows] = ph.sum(axis=1) / w.sum(axis=1)
+        sq_sums = ph.sum(axis=1)
+        out[start : start + rows] = sq_sums / w.sum(axis=1)
+        proven[start : start + rows] = _tails_negligible(
+            p, t, k_lo, k_hi, odds, w[:, 0], w[:, -1], sq_sums)
         start += rows
-    # b == 1 entries: exact closed form
-    out[bs == 1] = p * (1.0 - p) / t
-    return out
+    return out, proven
 
 
 def _saturation_cap(p: float, t: int, mse: float, b_max: int) -> int:
@@ -536,7 +628,8 @@ def _saturation_cap(p: float, t: int, mse: float, b_max: int) -> int:
 
 def _start_size(p: float, x: float, b_max: int) -> int:
     """The pool size x / -log(1-p), rounded and clipped to 1..b_max."""
-    return min(max(1, round(x / -math.log1p(-p))), b_max)
+    # clipped before rounding: at the tiniest p the quotient is inf
+    return max(1, round(min(x / -math.log1p(-p), b_max)))
 
 
 def _optimal_pool_fixed_tests(p: float, t: int, b_max: int) -> GibbsGowerPlan:
@@ -673,7 +766,11 @@ def estimation_rule_of_thumb(p_guess: float) -> GibbsGowerPlan:
 
 def _rule_of_thumb_pools(p: float, b: int) -> int:
     """The rule of thumb's pool count for pools of b: 6/p pools of 8, 12/p of 4."""
-    return _ceil_slack({8: 6.0, 4: 12.0}[b] / p)
+    pools = {8: 6.0, 4: 12.0}[b] / p
+    if pools >= 2.0**63:  # inf at the tiniest p, which has no ceiling
+        raise ValueError(f"the rule of thumb needs more than {_INT64_MAX} pools "
+                         f"at prevalence {p}")
+    return _ceil_slack(pools)
 
 
 def dorfman_estimation_rmse(p: float, num_tests: int) -> float:

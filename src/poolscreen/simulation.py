@@ -273,7 +273,7 @@ def _monte_carlo_classification(design, p, n, reps, seed, noise, workers):
         rng = _block_rng(seed, block)
         if noise is not None:
             noise_rng = _block_rng(seed, block, stream=1)
-        for rows, positions in _draw_rows(rng, lo, hi, n, p, design._unit):
+        for rows, positions in _draw_rows(rng, lo, hi, n, p, design._unit(n)):
             count = rows.stop - rows.start
             if noise is None:
                 tests[rows], positive = design.block(positions, count, n)

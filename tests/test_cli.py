@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -339,6 +340,15 @@ class TestDilution:
         payload = json.loads(out)
         assert payload["introduced_false_negative_rate"] == 0.0
         assert payload["max_safe_pool_size"] == 32
+
+    def test_int64_pool_cap_is_bisected(self, capsys):
+        # a scan from the cap would build ~9.2e18 scenarios; the answer is 1
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, *self.BASE, "--pool-size", "8",
+                               "--max-pool", "9223372036854775807", "--format", "json")
+        assert time.perf_counter() - start < 0.5
+        assert code == 0
+        assert json.loads(out)["max_safe_pool_size"] == 1
 
     def test_pool_of_one_introduces_nothing(self, capsys):
         code, out, _ = run_cli(capsys, *self.BASE, "--pool-size", "1", "--format", "json")

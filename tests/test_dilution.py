@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from poolscreen.dilution import (
     DilutionScenario,
@@ -123,6 +125,39 @@ class TestMaxPoolSize:
 
     def test_no_pooling_acceptable(self):
         assert max_pool_size_for_threshold(scenario(), 1e-6, max_pool=64) == 1
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        aliquot=st.floats(0.01, 20.0),
+        concentration=st.one_of(st.just(0.0), st.floats(0.0, 50.0)),
+        prevalence=st.floats(1e-6, 1.0),
+        max_pool=st.integers(1, 2000),
+        kind=st.sampled_from(["any", "above-limit", "below-pair", "at-size"]),
+        share=st.floats(0.0, 1.0),
+    )
+    @example(aliquot=1.0, concentration=0.0, prevalence=0.01, max_pool=2000, kind="any", share=0.0)
+    @example(aliquot=1.0, concentration=5.0, prevalence=0.01, max_pool=2000,
+             kind="above-limit", share=0.5)
+    @example(aliquot=1.0, concentration=5.0, prevalence=0.01, max_pool=2000,
+             kind="below-pair", share=0.5)
+    def test_matches_a_downward_scan(self, aliquot, concentration, prevalence, max_pool,
+                                     kind, share):
+        base = DilutionScenario(aliquot, 20.0, concentration, 1, prevalence)
+
+        def rate(n):
+            return introduced_false_negative_rate(base.with_pool_size(n))
+
+        if kind == "above-limit":  # past the rate of arbitrarily large pools
+            limit = math.exp(-concentration * aliquot * prevalence) - individual_false_negative_rate(base)
+            threshold = max(limit, 0.0) * (1.0 + share) + 1e-12
+        elif kind == "below-pair":  # below the rate of a pool of two
+            threshold = max(rate(2), 0.0) * share
+        elif kind == "at-size":  # exactly the rate of some pool size
+            threshold = max(rate(1 + round(share * (max_pool - 1))), 0.0)
+        else:
+            threshold = share
+        scan = next((n for n in range(max_pool, 1, -1) if rate(n) <= threshold), 1)
+        assert max_pool_size_for_threshold(base, threshold, max_pool) == scan
 
 
 class TestParticleSimulation:

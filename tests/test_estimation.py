@@ -144,7 +144,7 @@ class TestExactMoments:
             gg_mse(0.05, 4, 100_001)
 
     def test_windowed_sum_matches_full_sum(self):
-        # the 40-sigma window cannot differ from the full sum
+        # the window the tail bound leaves cannot differ from the full sum
         p, b, t = 0.02, 9, 500
         P = pool_positive_prob(p, b)
         k = np.arange(t + 1)
@@ -160,17 +160,18 @@ class TestExactMoments:
         assert gg_mse(p, b, t) == pytest.approx(float(np.sum(w * (ph - p) ** 2)), rel=1e-13)
 
 
-def _exact_reference(p, b, t):
+def _exact_reference(p, b, t, tiny=Decimal(10) ** -45):
     """(E[p_hat], MSE) of the pooled estimator in decimal arithmetic at 40
     significant digits, with no NumPy and no log-gamma: an oracle whose own
     error is far below any double-precision rounding.
 
     p is taken at its exact binary value.  The weights are the binomial
     terms relative to the mode, by the exact ratio w_(k+1) / w_k =
-    (t-k)/(k+1) * P/(1-P), walked outward until they fall below 1e-45 of
-    the mode's, and normalized by their sum.  The estimate 1 - x^(1/b) at
-    x = 1 - k/t takes one Newton step on y^b = x from its double-precision
-    value, which leaves it below 1e-20 relative at the pool sizes tested here.
+    (t-k)/(k+1) * P/(1-P), walked outward until they fall below `tiny` of
+    the mode's (tiny=0 sums the whole support), and normalized by their sum.
+    The estimate 1 - x^(1/b) at x = 1 - k/t takes one Newton step on
+    y^b = x from its double-precision value, which leaves it below 1e-20
+    relative at the pool sizes tested here.
     """
     with localcontext() as ctx:
         ctx.prec = 40
@@ -178,7 +179,6 @@ def _exact_reference(p, b, t):
         q = (one - p_) ** b  # exact to the working precision, however small
         odds = (one - q) / q
         mode = min(t, int((t + 1) * (one - q)))
-        tiny = Decimal(10) ** -45
         ks, ws = [mode], [one]
         w = one
         for k in range(mode, t):
@@ -206,6 +206,96 @@ def _exact_reference(p, b, t):
             second += w * (one - y - p_) ** 2
         total = sum(ws)
         return float(first / total), float(second / total)
+
+
+class TestTailBoundWindow:
+    """Both exact kernels sum a window sized by a Bernstein tail bound, check
+    after the sum that the counts left out cannot move the MSE, and widen the
+    window when they could; the results are those of the whole support."""
+
+    @staticmethod
+    def _pool_size(p, x):
+        """The pool size with x = -b log(1-p), so P = 1 - e^-x."""
+        return max(2, round(x / -math.log1p(-p)))
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        p=st.floats(math.log(1e-7), math.log(0.45)).map(math.exp),
+        x=st.floats(math.log(0.01), math.log(12.0)).map(math.exp),
+        t=st.integers(1, 2000),
+    )
+    # tiny prevalence at the optimal size and a small NRMSE (about 0.03)
+    @example(p=1e-7, x=1.6, t=2000)
+    @example(p=1e-6, x=1.2, t=1500)
+    # pools mostly positive: P = 0.9997 and 0.99999
+    @example(p=1e-6, x=8.0, t=2000)
+    @example(p=0.45, x=11.5, t=700)
+    @example(p=0.01, x=0.01, t=1)
+    def test_matches_full_support_sum(self, p, x, t):
+        b = self._pool_size(p, x)
+        e_ref, m_ref = _exact_reference(p, b, t, tiny=0)
+        expected, mse = estimation._exact_moments(p, b, t)
+        assert expected == pytest.approx(e_ref, rel=1e-13)
+        assert mse == pytest.approx(m_ref, rel=1e-13)
+        # a neighbouring size shares the sweep's union window
+        swept = estimation._mse_many(p, np.array([b, b + 1]), t)
+        assert swept[0] == pytest.approx(m_ref, rel=1e-13)
+        assert swept[1] == pytest.approx(_exact_reference(p, b + 1, t, tiny=0)[1], rel=1e-13)
+
+    @pytest.mark.parametrize("p, b, t", [
+        (0.01, 20, 1000), (1e-4, 1428, 100), (0.3, 26, 500), (0.05, 120, 2000), (1e-6, 1, 50),
+    ])
+    def test_widened_window_matches_full_support_sum(self, monkeypatch, p, b, t):
+        # windows of a count or so on each side fail the check, and are
+        # doubled until they pass
+        widths = estimation._half_widths
+        monkeypatch.setattr(estimation, "_half_widths",
+                            lambda *args: [0.0 * x + 1.0 for x in widths(*args)])
+        failed = [0]
+        check = estimation._tails_negligible
+
+        def counted(*args):
+            proven = check(*args)
+            failed[0] += np.size(proven) - np.count_nonzero(proven)
+            return proven
+
+        monkeypatch.setattr(estimation, "_tails_negligible", counted)
+        e_ref, m_ref = _exact_reference(p, b, t, tiny=0)
+        if b > 1:
+            expected, mse = estimation._exact_moments(p, b, t)
+            assert expected == pytest.approx(e_ref, rel=1e-13)
+            assert mse == pytest.approx(m_ref, rel=1e-13)
+        swept = estimation._mse_many(p, np.array([b, b + 3, b + 1]), t)
+        assert swept[0] == pytest.approx(m_ref, rel=1e-13)
+        assert swept[1] == pytest.approx(_exact_reference(p, b + 3, t, tiny=0)[1], rel=1e-13)
+        assert failed[0] > 0
+
+    def test_pool_probability_rounding_to_one(self):
+        # 1 - P = 3.2e-17 rounds P to 1, yet t (1 - P) = 2.1e-12 of the mass
+        # sits at t - 1 positive pools, which the sum keeps
+        p, b, t = 0.07446026832189383, 491, 65459
+        expected, mse = estimation._exact_moments(p, b, t)
+        e_ref, m_ref = _exact_reference(p, b, t)
+        assert expected == pytest.approx(e_ref, rel=1e-14)
+        assert mse == pytest.approx(m_ref, rel=1e-14)
+
+    def test_every_pool_positive(self):
+        assert gg_expected_estimate(1.0, 5, 10) == 1.0
+        assert gg_mse(1.0, 5, 10) == 0.0
+
+    def test_sweep_window_work(self, monkeypatch):
+        # the entries summed, (window width) x (rows) at every tail check;
+        # a +/-(40 sigma + 25) window summed 3,187,001 for this call
+        entries = [0]
+        check = estimation._tails_negligible
+
+        def counted(p, t, k_lo, k_hi, odds, w_lo, w_hi, mse):
+            entries[0] += int(k_hi - k_lo + 1) * np.size(w_lo)
+            return check(p, t, k_lo, k_hi, odds, w_lo, w_hi, mse)
+
+        monkeypatch.setattr(estimation, "_tails_negligible", counted)
+        assert gg_optimal_pool(0.0125, fixed_tests=100_000, cap=2000).pool_size == 127
+        assert entries[0] <= 0.42 * 3_187_001
 
 
 class TestMseSweep:

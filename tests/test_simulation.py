@@ -318,7 +318,7 @@ class TestKernelEquivalence:
         p, n, reps, seed = 0.08, 50, 300, 3
         design = ArrayDesign(4, confirm_stage=False)
         rng = simulation._block_rng(seed, 0)
-        (_, positions), = simulation._draw_rows(rng, 0, reps, n, p, design._unit)
+        (_, positions), = simulation._draw_rows(rng, 0, reps, n, p, design._unit(n))
         statuses = dense(positions, reps, n)
         presumed = [literal.grid(row, 4, 2, confirm=False)[1] for row in statuses]
         false_pos = sum(int((mask & ~row).sum()) for mask, row in zip(presumed, statuses))
@@ -577,6 +577,41 @@ class TestRowSubChunks:
     @pytest.mark.parametrize("design, noise", RUNS, ids=IDS)
     def test_inverted_and_sparse_draws(self, monkeypatch, design, noise, workers, p):
         self.assert_chunk_free(monkeypatch, design, noise, workers, p)
+
+
+class TestBatchPastThePopulation:
+    """A Dorfman or Sterrett batch larger than the population holds the same
+    people as a batch of all of them, so the kernels and the draw budget take
+    that batch; the Monte Carlo results are the same, and no sub-chunk
+    shrinks to one row."""
+
+    @pytest.mark.parametrize("noise", [None, NOISE], ids=["noise-free", "noisy"])
+    @pytest.mark.parametrize("kind", [DorfmanDesign, SterrettDesign])
+    def test_matches_a_batch_of_everyone(self, monkeypatch, kind, noise):
+        sub_chunks = []
+        draw_rows = simulation._draw_rows
+
+        def counted(*args):
+            for item in draw_rows(*args):
+                sub_chunks.append(item[0])
+                yield item
+
+        monkeypatch.setattr(simulation, "_draw_rows", counted)
+        whole = monte_carlo(kind(20), 0.05, 20, 20_000, seed=7, noise=noise)
+        expected_chunks, sub_chunks[:] = list(sub_chunks), []
+        for b in (10**6, 10**12, 2**63 - 1):
+            start = time.perf_counter()
+            assert monte_carlo(kind(b), 0.05, 20, 20_000, seed=7, noise=noise) == whole
+            assert time.perf_counter() - start < 0.5
+            assert sub_chunks == expected_chunks
+            sub_chunks.clear()
+
+    def test_one_person_is_a_pool_and_a_retest(self):
+        for b in (2, 5, 2**63 - 1):
+            assert monte_carlo(DorfmanDesign(b), 1.0, 1, 10, seed=0).mean_tests == 2.0
+            # a batch of one: the pool test, then the member is inferred
+            assert monte_carlo(SterrettDesign(b), 1.0, 1, 10, seed=0).mean_tests == 1.0
+        assert monte_carlo(DorfmanDesign(1), 1.0, 1, 10, seed=0).mean_tests == 1.0
 
 
 class TestDilutionNoise:

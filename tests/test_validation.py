@@ -14,6 +14,7 @@ from poolscreen import designs as d
 from poolscreen import dilution as dil
 from poolscreen import estimation as e
 from poolscreen import simulation as s
+from poolscreen.cli import main
 
 NAN, INF = math.nan, math.inf
 
@@ -308,3 +309,25 @@ def test_asymptotic_variance_of_huge_pools(call, expected):
 def test_huge_pools_are_infeasible(call):
     with pytest.raises(e.InfeasibleDesignError):
         call()
+
+
+# The tiniest prevalence, where 10/p, x / -log(1-p) and 6/p are inf: no
+# conversion to an integer may raise OverflowError.
+TINY = 5e-324
+
+
+def test_tiniest_prevalence_fixed_budget_plan():
+    plan = e.gg_optimal_pool(TINY, fixed_tests=100, cap=50)
+    assert plan.num_pools == 100 and 1 <= plan.pool_size <= 50
+
+
+def test_tiniest_prevalence_rule_of_thumb():
+    with pytest.raises(ValueError, match="prevalence"):
+        e.estimation_rule_of_thumb(TINY)
+
+
+@pytest.mark.parametrize("extra", [[], ["--target-nrmse", "0.15", "--cap", "50"]],
+                         ids=["default-cap", "cap-50"])
+def test_tiniest_prevalence_cli_plan(capsys, extra):
+    assert main(["estimate", "--plan", "--prevalence-guess", "5e-324", *extra]) in (2, 3)
+    assert capsys.readouterr().err.startswith("error: ")
