@@ -27,13 +27,13 @@ what a faithful simulation converges to, and ``independence_gap`` reports the
 relative discrepancy between the two.
 
 Each design class carries what callers dispatch on: ``cost(rho)``, its closed
-form, and ``block(positions, reps, n) -> (tests, presumed-positive mask, or
-None when every candidate is confirmed)``, the vectorized test count that the
-Monte Carlo harness runs on the sorted flat positions of the positives of
-reps rows of n people; Dorfman and Sterrett add ``noisy_block``, which
-reads the same positions and two pre-drawn uniforms for each positive, and
-returns per-row tests, false positives, positive and missed pools, and a
-detected flag for each positive.  No kernel draws random numbers.
+form, and ``block(positions, reps, n) -> (tests, false positives)`` per row,
+0 where every candidate is confirmed, the vectorized count that the Monte
+Carlo harness runs on the sorted flat positions of the positives of reps rows
+of n people; Dorfman and Sterrett add ``noisy_block``, which reads the same
+positions and two pre-drawn uniforms for each positive, and returns per-row
+tests, false positives, positive and missed pools, and a detected flag for
+each positive.  No kernel draws random numbers.
 The private ``_unit(n)`` is the pool, batch or cluster size a kernel pads
 each row of n people to whole multiples of, which the harness budgets its
 draws by.
@@ -137,7 +137,7 @@ class DorfmanDesign:
         pool; b == 1 is individual testing, one test per person."""
         b = self._unit(n)
         if b == 1:
-            return np.full(reps, n), None
+            return np.full(reps, n), np.zeros(reps, np.int64)
         units = -(-n // b)
         pools = _padded(positions, n, b) // b
         pools = pools[_run_ends(pools)]
@@ -146,7 +146,7 @@ class DorfmanDesign:
         tail = n - (units - 1) * b
         if tail < b:  # a positive tail pool retests only its real members
             tests -= (b - tail) * (bounds[1:] - _row_bounds(pools, reps, units, units - 1)[:-1])
-        return tests, None
+        return tests, np.zeros(reps, np.int64)
 
     def noisy_block(self, positions: np.ndarray, reps: int, n: int, miss: np.ndarray,
                     uniforms: np.ndarray):
@@ -249,7 +249,8 @@ class SterrettDesign:
         batches = batches[ends]
         m = members[batches % units]
         extra = np.where(last == m - 1, k + m - 2, k + last + 1)
-        return units + _row_sums(extra, _row_bounds(batches, reps, units)), None
+        tests = units + _row_sums(extra, _row_bounds(batches, reps, units))
+        return tests, np.zeros(reps, np.int64)
 
     def noisy_block(self, positions: np.ndarray, reps: int, n: int, miss: np.ndarray,
                     uniforms: np.ndarray):
@@ -619,39 +620,38 @@ def _row_sums(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
 
 
 def _grid_block(positions: np.ndarray, reps: int, n: int, b: int, d: int, confirm: bool):
-    """(tests, presumed mask or None) for array (d = 2) and hypercube runs.
+    """(tests, false positives) per row for array (d = 2) and hypercube runs.
 
-    Every axis-parallel line of each side-b cluster is pooled once; a cell is
-    a candidate when every line through it pooled positive, and is retested
-    when confirm is true and presumed positive otherwise.  The positives are
-    scattered into d line arrays, laid out lines first, shape (b,)*(d-1) +
-    (clusters,).  With the confirm stage at d = 2 the candidates of a cluster
-    are its positive rows times its positive columns, less the padded cells
-    of a ragged tail cluster; otherwise they are one broadcast AND of the line
-    arrays over every cell, laid out cells first, shape (b,)*d + (clusters,).
+    Every axis-parallel line of each side-b cluster is pooled once; a real
+    cell whose lines all pooled positive is a candidate, retested with the
+    confirm stage and presumed positive without it, and every positive is one.
+    The positives are scattered into d line arrays, lines first, shape
+    (b,)*(d-1) + (clusters,).  At d = 2 a cluster's candidates are its positive
+    rows times columns, less a ragged tail cluster's padded cells; above, one
+    broadcast AND over every cell, cells first, with the padded cells cleared.
     """
     size = b**d
     units = -(-n // size)
     lines = _pooled_lines(positions, n, b, d, reps * units)
     line_tests = units * d * b ** (d - 1)
     tail = n - (units - 1) * size  # real cells of the tail cluster
-    if confirm and d == 2:
+    if d == 2:
         columns, rows = lines  # indexed by a cell's column and row
-        cand = _count(columns) * _count(rows)
-        cand = cand.reshape(reps, units).sum(axis=1)
+        cand = (_count(columns) * _count(rows)).reshape(reps, units).sum(axis=1)
         if tail < size:
             last = slice(units - 1, None, units)
             padding = rows[:, None, last] & columns[None, :, last]
             cand -= _count(padding.reshape(size, reps)[tail:])
-        return line_tests + cand, None
-    cand = np.expand_dims(lines[0], 0) & np.expand_dims(lines[1], 1)
-    for axis in range(2, d):
-        cand &= np.expand_dims(lines[axis], axis)
-    cand = cand.reshape(size, reps, units)
+    else:
+        cells = np.expand_dims(lines[0], 0) & np.expand_dims(lines[1], 1)
+        for axis in range(2, d):
+            cells &= np.expand_dims(lines[axis], axis)
+        cells = cells.reshape(size, reps, units)
+        cells[tail:, :, -1] = False
+        cand = _count(cells).sum(axis=1)
     if confirm:
-        cand[tail:, :, -1] = False  # padded cells of the tail cluster
-        return line_tests + _count(cand).sum(axis=1), None
-    return np.full(reps, line_tests), cand.transpose(1, 2, 0).reshape(reps, -1)[:, :n]
+        return line_tests + cand, np.zeros(reps, np.int64)
+    return np.full(reps, line_tests), cand - np.diff(_row_bounds(positions, reps, n))
 
 
 def _pooled_lines(positions: np.ndarray, n: int, b: int, d: int, clusters: int) -> list:

@@ -76,13 +76,21 @@ class DilutionScenario:
         return replace(self, pool_size=n)
 
 
+def _miss_rate(scenario: DilutionScenario, n: int, p: float) -> float:
+    """Miss chance of a positive pool of n at prevalence p (p > 0 above n = 1),
+    for checked arguments; the scenario's pool size and prevalence are unread."""
+    frac = scenario.aliquot_volume / (n * scenario.sample_volume)
+    if n == 1:
+        if frac == 1.0:
+            return 0.0 if scenario.particle_count > 0 else 1.0
+        return math.exp(scenario.particle_count * math.log1p(-frac))
+    exponent = scenario.particle_count * (n * p / positive_fraction(p, n))
+    return math.exp(exponent * math.log1p(-frac))
+
+
 def individual_false_negative_rate(scenario: DilutionScenario) -> float:
     """(1 - l/T)^(c T): chance an individual test samples zero particles."""
-    scenario = instance(scenario, DilutionScenario, "scenario")
-    frac = scenario.aliquot_volume / scenario.sample_volume
-    if frac == 1.0:
-        return 0.0 if scenario.particle_count > 0 else 1.0
-    return math.exp(scenario.particle_count * math.log1p(-frac))
+    return _miss_rate(instance(scenario, DilutionScenario, "scenario"), 1, 0.0)
 
 
 def expected_positives_per_pool(n_pool: int, p: float) -> float:
@@ -96,11 +104,8 @@ def pooled_false_negative_rate(scenario: DilutionScenario) -> float:
     """(1 - l/(nT))^(c T * positives-per-pool): miss chance for a positive pool."""
     scenario = instance(scenario, DilutionScenario, "scenario")
     n = scenario.pool_size
-    if n == 1:
-        return individual_false_negative_rate(scenario)
-    frac = scenario.aliquot_volume / (n * scenario.sample_volume)
-    exponent = scenario.particle_count * expected_positives_per_pool(n, scenario.prevalence)
-    return math.exp(exponent * math.log1p(-frac))
+    p = scenario.prevalence if n == 1 else prob(scenario.prevalence, open_zero=True)
+    return _miss_rate(scenario, n, p)
 
 
 def introduced_false_negative_rate(scenario: DilutionScenario) -> float:

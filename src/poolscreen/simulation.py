@@ -7,12 +7,12 @@ error.  These empirical numbers are the ground truth the closed-form module
 is validated against.
 
 The test counting belongs to the designs: each design class of the designs
-module has one kernel, block, that counts the tests of a whole block of
-replications at once from the sorted positions of its positives, and Dorfman
-and Sterrett designs have a noisy_block that reads the same positions and two
-pre-drawn noise uniforms for each positive.  This module draws the
-populations and the noise, runs the kernels and aggregates.  The literal
-one-pool-at-a-time procedures live in the test suite
+module has one kernel, block, that counts the tests and false positives of a
+whole block of replications at once from the sorted positions of its
+positives, and Dorfman and Sterrett designs have a noisy_block that reads the
+same positions and two pre-drawn noise uniforms for each positive.  This
+module draws the populations and the noise, runs the kernels and aggregates.
+The literal one-pool-at-a-time procedures live in the test suite
 (tests/literal_procedures.py), which checks the kernels against them test
 for test.
 
@@ -22,11 +22,12 @@ randomness from fixed blocks of counter-based bit streams (Philox keyed by
 holds the statuses, stream 1 the dilution noise).  Results therefore depend
 only on (design, parameters, seed) - not on chunking, scheduling or the
 number of workers - and rerunning with the same seed is bit-identical.
-Aggregation happens on per-replication arrays indexed by r, which makes it
-order-insensitive by construction.  Nor do results depend on row sub-chunks:
-to bound memory, every block is drawn and reduced a few rows at a time, as
-the sorted positions of each sub-chunk's positives, and consecutive draws
-read each stream in the same order as one whole draw would.
+Aggregation keeps the tests per replication r and sums the rest as exact
+integer totals per block, which makes it order-insensitive by construction.
+Nor do results depend on row sub-chunks: to bound memory, every block is
+drawn and reduced a few rows at a time, as the sorted positions of each
+sub-chunk's positives, and consecutive draws read each stream in the same
+order as one whole draw would.
 
 A block's statuses are one Bernoulli(p) sequence, row after row, drawn as
 geometric gaps between occurrences of the rarer outcome (positives for
@@ -59,7 +60,7 @@ from __future__ import annotations
 import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -171,9 +172,7 @@ def _miss_probs(noise: _dilution.DilutionScenario, max_pool: int, p: float) -> n
     miss."""
     probs = np.zeros(max_pool + 1)
     if p > 0.0:
-        for k in range(1, max_pool + 1):
-            scenario = replace(noise, pool_size=k, prevalence=p)
-            probs[k] = _dilution.pooled_false_negative_rate(scenario)
+        probs[1:] = [_dilution._miss_rate(noise, k, p) for k in range(1, max_pool + 1)]
     return probs
 
 
@@ -262,7 +261,8 @@ def _monte_carlo_estimation(plan, p, reps, seed, workers):
 
 
 def _monte_carlo_classification(design, p, n, reps, seed, noise, workers):
-    tests, fp, fn, n_pos, pool_pos, pool_missed = np.zeros((6, reps), dtype=np.int64)
+    tests = np.empty(reps, np.int64)
+    tallies = {}  # block: (positives, false negatives, false positives, positive and missed pools)
 
     if noise is not None:
         # no pool or segment has more real members than the population
@@ -273,44 +273,38 @@ def _monte_carlo_classification(design, p, n, reps, seed, noise, workers):
         rng = _block_rng(seed, block)
         if noise is not None:
             noise_rng = _block_rng(seed, block, stream=1)
+        pos = fn = fp = pools = missed = 0
         for rows, positions in _draw_rows(rng, lo, hi, n, p, design._unit(n)):
             count = rows.stop - rows.start
+            pos += len(positions)
             if noise is None:
-                tests[rows], positive = design.block(positions, count, n)
-                # without a mask every status is confirmed: sensitivity and
-                # specificity are 1 whatever the positives count, so none is taken
-                if positive is None:
-                    continue
-                row = positions // n
-                detected = positive[row, positions - row * n]
-                fp[rows] = positive.sum(axis=1) - np.bincount(row[detected], minlength=count)
+                tests[rows], false_pos = design.block(positions, count, n)
             else:
                 # two uniforms per positive, in position order
                 uniforms = noise_rng.random((len(positions), 2))
-                (tests[rows], fp[rows], pool_pos[rows], pool_missed[rows],
-                 detected) = design.noisy_block(positions, count, n, miss, uniforms)
-                row = positions // n
-            n_pos[rows] = np.bincount(row, minlength=count)
-            fn[rows] = np.bincount(row[~detected], minlength=count)
+                tests[rows], false_pos, pool_pos, pool_missed, detected = design.noisy_block(
+                    positions, count, n, miss, uniforms)
+                fn += len(detected) - int(np.count_nonzero(detected))
+                pools += int(pool_pos.sum())
+                missed += int(pool_missed.sum())
+            fp += int(false_pos.sum())
+        tallies[block] = pos, fn, fp, pools, missed
 
     _run_blocks(do_block, reps, workers)
 
     per_person = tests / n
-    total_pos = int(n_pos.sum())
+    total_pos, fn, fp, pools, missed = map(sum, zip(*tallies.values()))
     total_neg = reps * n - total_pos
-    sensitivity = 1.0 if total_pos == 0 else 1.0 - fn.sum() / total_pos
-    specificity = 1.0 if total_neg == 0 else 1.0 - fp.sum() / total_neg
-    miss_rate = None
-    if noise is not None:
-        total_pool_pos = int(pool_pos.sum())
-        miss_rate = 0.0 if total_pool_pos == 0 else float(pool_missed.sum() / total_pool_pos)
+    sensitivity = 1.0 if total_pos == 0 else 1.0 - fn / total_pos
+    specificity = 1.0 if total_neg == 0 else 1.0 - fp / total_neg
+    miss_rate = None if noise is None else (missed / pools if pools else 0.0)
     return MonteCarloSummary(
         reps=reps,
         mean_tests=float(per_person.mean()),
         se_tests=float(per_person.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0,
         empirical_rmse=None,
-        sensitivity=float(sensitivity),
-        specificity=float(specificity),
+        sensitivity=sensitivity,
+        specificity=specificity,
         pool_miss_rate=miss_rate,
     )
 

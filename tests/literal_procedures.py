@@ -5,9 +5,11 @@ a lab would, one pool at a time, and returns (tests used, cells classified
 positive).  Pools are consecutive blocks; a ragged tail block holds only its
 real members, and a ragged tail cluster is padded with known negatives that
 are never retested.  Each design class of poolscreen.designs counts the same
-tests with a vectorized kernel, block, and the tests check those kernels
-against these loops; run() therefore dispatches on its own, never through
-block.
+tests, and the false positives, with a vectorized kernel, block, and the
+tests check those kernels against these loops; run() therefore dispatches on
+its own, never through block.  kernel_outcomes and literal_outcomes reduce a
+kernel and a procedure alike to (tests, false negatives, false positives)
+per population, the procedure's from its mask, for the tests to compare.
 
 The noisy walks read a population's pre-drawn uniforms[k, 2], two for each
 of its k positives in position order, as the Monte Carlo harness draws them:
@@ -171,6 +173,24 @@ def run(design, statuses):
     if isinstance(design, HypercubeDesign):
         return grid(statuses, design.side, design.dimension)
     raise ValueError(f"unsupported design {design!r}")
+
+
+def kernel_outcomes(block, statuses):
+    """[(tests, false negatives, false positives)] of each population, a row
+    of statuses, under a noise-free kernel block(positions, reps, n) ->
+    (tests, false positives), which misses no positive."""
+    statuses = np.atleast_2d(np.asarray(statuses, dtype=bool))
+    tests, false_pos = block(np.flatnonzero(statuses), *statuses.shape)
+    return [(int(t), 0, int(f)) for t, f in zip(tests, false_pos)]
+
+
+def literal_outcomes(procedure, statuses):
+    """The same from a literal procedure(row) -> (tests, positive mask)."""
+    outcomes = []
+    for row in np.atleast_2d(np.asarray(statuses, dtype=bool)):
+        tests, positive = procedure(row)
+        outcomes.append((tests, int((row & ~positive).sum()), int((positive & ~row).sum())))
+    return outcomes
 
 
 def noisy_dorfman(statuses, b, miss, uniforms):

@@ -13,6 +13,8 @@ import hashlib
 
 import numpy as np
 
+from literal_procedures import kernel_outcomes
+
 from poolscreen.designs import (
     ArrayDesign,
     DorfmanDesign,
@@ -45,19 +47,8 @@ MONTE_CARLO_CASES = [
     (GibbsGowerPlan(8, 50), 0.03, None, BLOCK_REPS + 7, 14, False),
 ]
 
-SEEDED_SHA256 = "ecb2d19418ad742a2b9f543f4cd0263517e8f06f3a607fe0658cc0e399f5c4c5"
+SEEDED_SHA256 = "1166f669bac82a021321afdb2937e46a12406928707e04c7633c79049cb14051"
 NOISY_SHA256 = "3e151036eba02123ef83862d36a323a7668234dd9c50fc2649e7c79f37fff5f5"
-
-
-def _outcome(block, statuses):
-    """(tests, classified-positive indices, classified-negative indices, false
-    negatives, false positives) of a kernel block(positions, reps, n) ->
-    (tests, presumed mask or None) on one population."""
-    tests, presumed = block(np.flatnonzero(statuses), 1, len(statuses))
-    positive = statuses if presumed is None else presumed[0]
-    idx = np.arange(len(statuses))
-    return (int(tests[0]), idx[positive].tolist(), idx[~positive].tolist(),
-            int((statuses & ~positive).sum()), int((positive & ~statuses).sum()))
 
 
 def monte_carlo_results(noisy: bool) -> list:
@@ -70,7 +61,8 @@ def monte_carlo_results(noisy: bool) -> list:
 
 
 def seeded_results() -> list:
-    """The noise-free Monte Carlo summaries, then single-population outcomes."""
+    """The noise-free Monte Carlo summaries, then single-population outcomes:
+    tests, false negatives and false positives."""
     results = monte_carlo_results(noisy=False)
     rng = np.random.default_rng(20)
     for n, p in ((1, 0.5), (37, 0.1), (100, 0.05), (200, 0.3)):
@@ -81,7 +73,7 @@ def seeded_results() -> list:
         # hypercubes, presumptive ones too: the grid kernel with its confirm flag
         blocks += [lambda s, reps, n, b=b, d=d, c=c: _grid_block(s, reps, n, b, d, c)
                    for b, d, c in ((2, 3, True), (3, 3, False), (2, 4, True))]
-        results += [_outcome(block, statuses) for block in blocks]
+        results += [kernel_outcomes(block, statuses) for block in blocks]
     return results
 
 

@@ -4,6 +4,7 @@ import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -28,14 +29,6 @@ from poolscreen.dilution import DilutionScenario, pooled_false_negative_rate
 from poolscreen.estimation import GibbsGowerPlan, gg_expected_estimate, gg_mse
 from poolscreen import designs, simulation
 from poolscreen.simulation import BLOCK_REPS, monte_carlo
-
-
-def run(block, statuses):
-    """(tests, classified-positive mask) of a kernel block(positions, reps, n)
-    -> (tests, presumed mask or None) on one population."""
-    statuses = np.asarray(statuses, dtype=bool)
-    tests, presumed = block(np.flatnonzero(statuses), 1, len(statuses))
-    return int(tests[0]), statuses if presumed is None else presumed[0]
 
 
 # ---------------------------------------------------------------------------
@@ -200,56 +193,56 @@ def test_seed_must_be_a_nonnegative_integer(seed):
 
 class TestRunners:
     def test_dorfman_all_negative(self):
-        assert run(DorfmanDesign(5).block, [False] * 100)[0] == 20
+        assert literal.kernel_outcomes(DorfmanDesign(5).block, [False] * 100) == [(20, 0, 0)]
 
     def test_dorfman_all_positive(self):
-        assert run(DorfmanDesign(5).block, [True] * 100)[0] == 120
+        assert literal.kernel_outcomes(DorfmanDesign(5).block, [True] * 100) == [(120, 0, 0)]
 
     def test_dorfman_partial_tail_pool(self):
         # 7 people in pools of 5: tail pool has 2 real members
         statuses = [False] * 5 + [True, False]
-        assert run(DorfmanDesign(5).block, statuses)[0] == 2 + 2
+        assert literal.kernel_outcomes(DorfmanDesign(5).block, statuses) == [(2 + 2, 0, 0)]
 
-    def test_classification_partitions_population(self):
+    def test_confirmed_designs_classify_everyone_correctly(self):
         statuses = np.random.default_rng(11).random(101) < 0.2
         for design in (DorfmanDesign(5), SterrettDesign(6), ArrayDesign(4)):
-            _, positive = run(design.block, statuses)
-            assert positive.shape == statuses.shape
-            assert not (statuses & ~positive).any()  # no false negatives
+            (_, *errors), = literal.kernel_outcomes(design.block, statuses)
+            assert errors == [0, 0]
 
     def test_array_all_negative_cluster(self):
-        assert run(ArrayDesign(8).block, [False] * 64)[0] == 16
+        assert literal.kernel_outcomes(ArrayDesign(8).block, [False] * 64) == [(16, 0, 0)]
 
     def test_array_single_positive(self):
         statuses = np.zeros(64, dtype=bool)
         statuses[37] = True
-        tests, positive = run(ArrayDesign(8).block, statuses)
-        assert tests == 17
-        assert list(np.flatnonzero(positive)) == [37]
+        assert literal.kernel_outcomes(ArrayDesign(8).block, statuses) == [(17, 0, 0)]
+        # presumed positive alone: its row and column cross at it only
+        presumptive = ArrayDesign(8, confirm_stage=False).block
+        assert literal.kernel_outcomes(presumptive, statuses) == [(16, 0, 0)]
 
     def test_array_presumptive_counts_false_positives(self):
         # two positives on a diagonal light up 2 rows and 2 columns: the two
         # off-diagonal cells are presumed positive wrongly
         statuses = np.zeros(16, dtype=bool)
         statuses[0] = statuses[5] = True  # (0,0) and (1,1) of a 4x4 grid
-        tests, positive = run(ArrayDesign(4, confirm_stage=False).block, statuses)
-        assert tests == 8
-        assert int((positive & ~statuses).sum()) == 2
-        assert int((statuses & ~positive).sum()) == 0
+        block = ArrayDesign(4, confirm_stage=False).block
+        assert literal.kernel_outcomes(block, statuses) == [(8, 0, 2)]
 
     def test_hypercube_d2_equals_array(self):
         statuses = np.random.default_rng(21).random(256) < 0.06
-        hypercube_tests, _ = run(HypercubeDesign(8, 2).block, statuses)
-        assert hypercube_tests == run(ArrayDesign(8).block, statuses)[0]
+        assert (literal.kernel_outcomes(HypercubeDesign(8, 2).block, statuses)
+                == literal.kernel_outcomes(ArrayDesign(8).block, statuses))
 
     def test_hypercube_single_positive(self):
         statuses = np.zeros(512, dtype=bool)
         statuses[100] = True
-        assert run(HypercubeDesign(8, 3).block, statuses)[0] == 3 * 64 + 1
+        outcomes = literal.kernel_outcomes(HypercubeDesign(8, 3).block, statuses)
+        assert outcomes == [(3 * 64 + 1, 0, 0)]
 
     def test_sterrett_hand_traces(self):
         def tests(pattern):
-            return run(SterrettDesign(5).block, pattern)[0]
+            (count, _, _), = literal.kernel_outcomes(SterrettDesign(5).block, pattern)
+            return count
 
         # positive at the front: pool, hit on first test, clean remainder pool
         assert tests([1, 0, 0, 0, 0]) == 3
@@ -270,20 +263,20 @@ class TestRunners:
 # kernels agree with the literal procedures
 # ---------------------------------------------------------------------------
 
-def assert_block_matches(block, statuses, oracle):
-    """A kernel's (tests, presumed mask or None) equals the literal procedure
-    `oracle(row) -> (tests, positive mask)` row by row."""
-    tests, presumed = block
-    for r, row in enumerate(statuses):
-        literal_tests, literal_positive = oracle(row)
-        assert tests[r] == literal_tests
-        positive = row if presumed is None else presumed[r]
-        assert np.array_equal(positive, literal_positive)
+def assert_block_matches(block, statuses, procedure):
+    """A kernel block gives the tests, false negatives and false positives of
+    the literal procedure(row) -> (tests, positive mask), row by row."""
+    expected = literal.literal_outcomes(procedure, statuses)
+    assert literal.kernel_outcomes(block, statuses) == expected
 
 
 def assert_matches_literal(design, statuses):
-    block = design.block(np.flatnonzero(statuses), *statuses.shape)
-    assert_block_matches(block, statuses, lambda row: literal.run(design, row))
+    assert_block_matches(design.block, statuses, lambda row: literal.run(design, row))
+
+
+def grid_kernel(side, dim, confirm):
+    """The array and hypercube kernel, presumptive hypercubes too."""
+    return lambda positions, reps, n: designs._grid_block(positions, reps, n, side, dim, confirm)
 
 
 class TestKernelEquivalence:
@@ -312,19 +305,33 @@ class TestKernelEquivalence:
         statuses = rng.random((30, 512)) < 0.02
         assert_matches_literal(HypercubeDesign(8, 3), statuses)
         assert_matches_literal(HypercubeDesign(3, 4), statuses)
+        for side, dim in ((8, 3), (3, 4)):  # presumptive hypercubes
+            assert_block_matches(grid_kernel(side, dim, False), statuses,
+                                 lambda row: literal.grid(row, side, dim, confirm=False))
 
-    def test_presumptive_false_positives_match_literal(self):
-        # the harness's specificity counts the literal procedure's false positives
-        p, n, reps, seed = 0.08, 50, 300, 3
-        design = ArrayDesign(4, confirm_stage=False)
-        rng = simulation._block_rng(seed, 0)
-        (_, positions), = simulation._draw_rows(rng, 0, reps, n, p, design._unit(n))
-        statuses = dense(positions, reps, n)
-        presumed = [literal.grid(row, 4, 2, confirm=False)[1] for row in statuses]
-        false_pos = sum(int((mask & ~row).sum()) for mask, row in zip(presumed, statuses))
+    # a full cluster, a ragged tail cluster of 11, and a dense ragged one
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("side, n, p", [(4, 50, 0.08), (5, 61, 0.08), (3, 20, 0.3)])
+    def test_presumptive_false_positives_match_literal(self, monkeypatch, side, n, p, workers):
+        # the harness's specificity counts the literal procedure's false
+        # positives; blocks of 128 replications spread the run over three
+        # blocks for the workers
+        reps, seed, block_reps = 300, 3, 128
+        monkeypatch.setattr(simulation, "BLOCK_REPS", block_reps)
+        design = ArrayDesign(side, confirm_stage=False)
+        rows = []
+        for block, lo in enumerate(range(0, reps, block_reps)):
+            rng = simulation._block_rng(seed, block)
+            hi = min(lo + block_reps, reps)
+            for r, positions in simulation._draw_rows(rng, lo, hi, n, p, design._unit(n)):
+                rows.append(dense(positions, r.stop - r.start, n))
+        statuses = np.vstack(rows)
+        outcomes = literal.literal_outcomes(lambda row: literal.grid(row, side, 2, False), statuses)
+        false_pos = sum(fp for _, _, fp in outcomes)
         negatives = reps * n - int(statuses.sum())
-        out = monte_carlo(design, p, n, reps, seed=seed)
+        out = monte_carlo(design, p, n, reps, seed=seed, workers=workers)
         assert false_pos > 0
+        assert out.sensitivity == 1.0
         assert out.specificity == 1.0 - false_pos / negatives
 
 
@@ -365,14 +372,14 @@ class TestKernelProperties:
     )
     @example(shape=(4, 2), confirm=False, statuses=np.eye(16, dtype=bool)[[0]] | np.eye(16, dtype=bool)[[5]])
     # ragged tail clusters whose padded cells lie on positive lines only: they
-    # must not be counted (confirm), nor shift the presumed mask
+    # must not be counted as candidates, confirmed or presumed
     @example(shape=(3, 3), confirm=True, statuses=np.ones((1, 53), dtype=bool))
     @example(shape=(4, 2), confirm=False, statuses=np.ones((1, 30), dtype=bool))
     @example(shape=(4, 2), confirm=True, statuses=np.ones((1, 30), bool))
     def test_grid_kernel_matches_literal(self, shape, confirm, statuses):
         side, dim = shape
-        block = designs._grid_block(np.flatnonzero(statuses), *statuses.shape, side, dim, confirm)
-        assert_block_matches(block, statuses, lambda row: literal.grid(row, side, dim, confirm))
+        assert_block_matches(grid_kernel(side, dim, confirm), statuses,
+                             lambda row: literal.grid(row, side, dim, confirm))
 
 
 @st.composite
@@ -658,6 +665,27 @@ class TestDilutionNoise:
         pools = reps * n // b
         se = math.sqrt(var / pools) / k1
         assert abs(out.sensitivity - pool_found * retest_found) <= 3 * se
+
+    @pytest.mark.parametrize("concentration", [0.0, 0.3, 5.0, 400.0])
+    def test_miss_probs_are_the_scenario_rates(self, concentration):
+        # bit for bit the public rate of a scenario of each pool size
+        noise = DilutionScenario(1.0, 20.0, concentration, 1, 0.5)
+        for p in (1e-6, 0.01, 0.3, 1.0):
+            expected = [pooled_false_negative_rate(replace(noise, pool_size=k, prevalence=p))
+                        for k in range(1, 301)]
+            assert simulation._miss_probs(noise, 300, p).tolist() == [0.0] + expected
+        assert simulation._miss_probs(noise, 300, 0.0).tolist() == [0.0] * 301
+
+    def test_noisy_runs_build_no_scenario(self, monkeypatch):
+        # the miss rates come from the run's scenario, with no copy per pool size
+        built = []
+        post_init = DilutionScenario.__post_init__
+        noise = self.scenario()
+        monkeypatch.setattr(DilutionScenario, "__post_init__",
+                            lambda self: built.append(self) or post_init(self))
+        for design in (DorfmanDesign(10), SterrettDesign(10)):
+            monte_carlo(design, 0.05, 100, 50, seed=2, noise=noise)
+        assert built == []
 
     def test_pool_larger_than_population(self, monkeypatch):
         # miss rates are taken only up to the population, the largest pool
