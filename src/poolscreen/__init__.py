@@ -32,7 +32,6 @@ from .designs import (
 )
 from .dilution import (
     DilutionScenario,
-    expected_positives_per_pool,
     individual_false_negative_rate,
     introduced_false_negative_rate,
     max_pool_size_for_threshold,

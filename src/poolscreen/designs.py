@@ -74,15 +74,13 @@ __all__ = [
     "classification_crossovers",
 ]
 
-#: Default upper bound for exhaustive batch-size searches.  Pool sizes above
+#: Default upper bound for batch-size searches.  Pool sizes above
 #: roughly 32 are already questionable for qPCR because of dilution, so 64
 #: leaves generous headroom without making searches expensive.
 DEFAULT_BATCH_CAP = 64
 
 _INV_E = math.exp(-1.0)
 _HALLEY_STEPS = 8  # lambert_w0 converges in 2-4; the cap stops a stall near -1/e
-
-_STERRETT_MAX_BATCH = 4096  # the optimizer's cap: its scan is linear in the cap
 
 
 # ---------------------------------------------------------------------------
@@ -362,11 +360,28 @@ def _constraints(constraints: ConstraintSet | None) -> ConstraintSet:
     return instance(constraints, ConstraintSet, "constraints", optional=True) or ConstraintSet()
 
 
-def _best_size(cost, cap: int, what: str) -> int:
-    """Smallest size in 2..cap at which cost(size) is least, by exhaustive search."""
+def _best_size(cost, cap: int, what: str, fixed: float, rho: float | None = None) -> int:
+    """Smallest size in 2..cap at which cost(size) is least.
+
+    cost(b) - max(fixed, 0)/b never falls as b grows, so the scan stops once
+    that floor reaches the least cost so far.  Given rho, the cost falls at
+    every size past one with b > 2q/rho and rho q^b b (b+1) < 1 (q = 1 - rho),
+    so there only the cap can still win.
+    """
     if cap < 2:
         raise ValueError(f"constraints leave no {what} of 2 or more to search (cap {cap})")
-    return min(range(2, cap + 1), key=cost)
+    best, arg = cost(2), 2
+    fixed = max(fixed, 0.0)
+    for b in range(3, cap + 1):
+        c = cost(b)
+        if c < best:
+            best, arg = c, b
+        elif c - fixed / b >= best:
+            break
+        if (rho is not None and b * rho > 2.0 * (1.0 - rho)
+                and rho * (1.0 - rho) ** b * b * (b + 1) < 1.0):
+            return cap if cost(cap) < best else arg
+    return arg
 
 
 # ---------------------------------------------------------------------------
@@ -406,15 +421,15 @@ def dorfman_optimal_batch_continuous(rho: float) -> float:
 
 
 def dorfman_optimal_batch(rho: float, constraints: ConstraintSet | None = None) -> DorfmanDesign:
-    """Integer batch size minimizing the Dorfman cost, by exhaustive search.
+    """Integer batch size minimizing the Dorfman cost over b in [2, cap].
 
-    Searches b in [2, cap] (cap from constraints, default 64); ties go to the
+    The cap (from constraints, default 64) may be any int64; ties go to the
     smaller batch.  When uncapped the result brackets the continuous optimum.
     """
     rho = prob(rho, open_zero=True, open_one=True)
     cap = _constraints(constraints).pool_cap()
     return DorfmanDesign(
-        _best_size(lambda b: dorfman_expected_tests_per_person(rho, b), cap, "batch size")
+        _best_size(lambda b: dorfman_expected_tests_per_person(rho, b), cap, "batch size", 1, rho)
     )
 
 
@@ -448,7 +463,7 @@ def array_expected_tests_exact(rho: float, b: int) -> float:
 
 
 def array_optimal_side(rho: float, constraints: ConstraintSet | None = None) -> ArrayDesign:
-    """Side length minimizing the approximate array cost, exhaustively."""
+    """Side length minimizing the approximate array cost, as hypercube sides at d = 2."""
     rho = prob(rho, open_zero=True, open_one=True)
     return ArrayDesign(_optimal_side(rho, 2, constraints, "array side"))
 
@@ -494,7 +509,7 @@ def hypercube_expected_tests_exact(rho: float, b: int, d: int) -> float:
 def hypercube_optimal_side(
     rho: float, d: int, constraints: ConstraintSet | None = None
 ) -> HypercubeDesign:
-    """Side length minimizing the approximate hypercube cost, exhaustively."""
+    """Side length minimizing the approximate hypercube cost over 2..cap."""
     rho = prob(rho, open_zero=True, open_one=True)
     d = integer(d, 2, "hypercube dimension")
     return HypercubeDesign(_optimal_side(rho, d, constraints, "hypercube side"), d)
@@ -502,12 +517,14 @@ def hypercube_optimal_side(
 
 def _optimal_side(rho: float, d: int, constraints: ConstraintSet | None, what: str) -> int:
     """Side in 2..cap minimizing the approximate d-dimensional grid cost, for
-    checked rho and d; a cluster cap bounds the side by its integer d-th root."""
+    checked rho and d; a cluster cap bounds the side by its integer d-th root.
+    Past d = 2 the b^(d(d-2)) factor sends the floor to inf unaided."""
     cons = _constraints(constraints)
     cap = cons.pool_cap()
     if cons.max_cluster_size is not None:
         cap = min(cap, _integer_root(cons.max_cluster_size, d))
-    return _best_size(lambda b: hypercube_expected_tests_per_person(rho, b, d), cap, what)
+    return _best_size(lambda b: hypercube_expected_tests_per_person(rho, b, d), cap, what,
+                      d, rho if d == 2 else None)
 
 
 def _integer_root(n: int, d: int) -> int:
@@ -566,19 +583,14 @@ def sterrett_expected_tests_per_batch(rho: float, b: int) -> float:
 
 
 def sterrett_optimal_batch(rho: float, constraints: ConstraintSet | None = None) -> SterrettDesign:
-    """Batch size minimizing Sterrett tests per person, by exhaustive search.
-
-    Searches b in [2, cap] (cap from constraints, default 64) as
-    dorfman_optimal_batch does; ties go to the smaller batch.  The scan is
-    linear in the cap, so caps above 4096 are rejected before any work.
-    """
+    """Batch size minimizing Sterrett tests per person over b in [2, cap], the
+    cap read as dorfman_optimal_batch reads it.  f is convex with f(0) =
+    1 - 2 rho, so f(b)/b - f(0)/b never falls."""
     rho = prob(rho, open_zero=True, open_one=True)
     cap = _constraints(constraints).pool_cap()
-    if cap > _STERRETT_MAX_BATCH:
-        raise ValueError(f"Sterrett pool cap {cap} is above the search bound, "
-                         f"{_STERRETT_MAX_BATCH}")
     return SterrettDesign(
-        _best_size(lambda b: sterrett_expected_tests_per_batch(rho, b) / b, cap, "batch size")
+        _best_size(lambda b: sterrett_expected_tests_per_batch(rho, b) / b, cap, "batch size",
+                   1.0 - 2.0 * rho)
     )
 
 

@@ -29,7 +29,6 @@ from ._validate import instance, integer, positive_fraction, prob, real
 __all__ = [
     "DilutionScenario",
     "individual_false_negative_rate",
-    "expected_positives_per_pool",
     "pooled_false_negative_rate",
     "introduced_false_negative_rate",
     "max_pool_size_for_threshold",
@@ -91,13 +90,6 @@ def _miss_rate(scenario: DilutionScenario, n: int, p: float) -> float:
 def individual_false_negative_rate(scenario: DilutionScenario) -> float:
     """(1 - l/T)^(c T): chance an individual test samples zero particles."""
     return _miss_rate(instance(scenario, DilutionScenario, "scenario"), 1, 0.0)
-
-
-def expected_positives_per_pool(n_pool: int, p: float) -> float:
-    """Mean positives in a pool of n, conditional on at least one: np/(1-(1-p)^n)."""
-    n_pool = integer(n_pool, 1, "pool size")
-    p = prob(p, open_zero=True)
-    return n_pool * p / positive_fraction(p, n_pool)
 
 
 def pooled_false_negative_rate(scenario: DilutionScenario) -> float:

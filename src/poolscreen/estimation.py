@@ -777,19 +777,13 @@ def dorfman_estimation_rmse(p: float, num_tests: int) -> float:
     """RMSE of estimating prevalence via optimally batched Dorfman screening.
 
     A budget of num_tests classifies an expected num_tests / c(b*) people,
-    where c(b*) is the per-person cost at the best Dorfman batch size
-    (individual testing if pooling does not pay).  Treating that effective
+    where c(b*) is the per-person cost at the best Dorfman batch of any int64
+    size (individual testing if pooling does not pay).  Treating that effective
     sample as a binomial sample gives RMSE sqrt(p (1-p) / n_eff).
     """
     p = prob(p, open_zero=True, open_one=True)
     num_tests = integer(num_tests, 1, "num_tests")
-    # search past the default cap at low prevalence, where the continuous
-    # optimum ~ 1/sqrt(p) can be arbitrarily large
-    try:
-        cap = max(designs.DEFAULT_BATCH_CAP, math.ceil(designs.dorfman_optimal_batch_continuous(p)) + 2)
-    except ValueError:
-        cap = designs.DEFAULT_BATCH_CAP  # no interior optimum at high prevalence
-    pooled = designs.dorfman_optimal_batch(p, designs.ConstraintSet(max_pool_size=cap))
+    pooled = designs.dorfman_optimal_batch(p, designs.ConstraintSet(max_pool_size=_INT64_MAX))
     cost = min(1.0, pooled.cost(p))
     n_eff = num_tests / cost
     return math.sqrt(p * (1.0 - p) / n_eff)

@@ -53,13 +53,21 @@ class TestDesign:
         assert code == 2
         assert "error" in err
 
-    def test_sterrett_cap_above_recursion_bound_exit_2(self, capsys):
-        code, out, err = run_cli(
-            capsys, "design", "--prevalence", "0.01", "--cap", "5000", "--candidates", "sterrett"
-        )
-        assert code == 2
-        assert out == ""
-        assert "5000" in err
+    def test_int64_cap_gives_the_design_of_cap_ten_thousand(self, capsys):
+        # the search stops on its floor or falling tail, not at the cap; where
+        # the tail returns the cap its cost ties individual testing at 1.0,
+        # and individual testing wins on rank
+        candidates = ("--candidates", "dorfman,array,hypercube,sterrett")
+        elapsed = 0.0
+        for rho in ("0.0001", "0.01", "0.3", "0.35", "0.5", "0.9"):
+            _, expected, _ = run_cli(capsys, "design", "--prevalence", rho, "--cap", "10000",
+                                     *candidates)
+            start = time.perf_counter()
+            code, out, err = run_cli(capsys, "design", "--prevalence", rho,
+                                     "--cap", str(2**63 - 1), *candidates)
+            elapsed += time.perf_counter() - start
+            assert (code, out, err) == (0, expected, ""), rho
+        assert elapsed < 1.0
 
     def test_hypercube_cost_overflow_gives_individual_testing(self, capsys):
         # every side's approximate cost is huge or inf at d = 20

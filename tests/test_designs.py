@@ -348,9 +348,9 @@ class TestSterrett:
         with pytest.raises(ValueError):
             sterrett_expected_tests_enumerated(0.1, 21)
 
-    def test_optimizer_rejects_cap_above_search_bound(self):
-        with pytest.raises(ValueError, match="5000"):
-            sterrett_optimal_batch(0.01, ConstraintSet(max_pool_size=5000))
+    def test_optimizer_takes_any_int64_cap(self):
+        for cap in (4096, 5000, 2**63 - 1):
+            assert sterrett_optimal_batch(0.01, ConstraintSet(max_pool_size=cap)).batch_size == 15
         assert sterrett_optimal_batch(0.3, ConstraintSet(max_pool_size=4096)).batch_size == 2
 
 
@@ -377,10 +377,15 @@ CLUSTER_CAPS = st.none() | st.integers(min_value=1, max_value=20_000)
 
 class TestOptimizersMinimizeTheirCost:
     """Each optimizer returns the smallest size reaching the minimum of its
-    public cost function over 2..cap, and rejects an empty range."""
+    public cost function over 2..cap, and rejects an empty range.  The
+    examples pin both stops of the search: the floor, and for Dorfman and
+    the array the falling tail, where the cost tends to 1 from above."""
 
     @settings(deadline=None, max_examples=100)
     @given(PREVALENCES, st.integers(min_value=1, max_value=200))
+    @example(0.35, 200)  # the tail falls from 7 on, and the cap beats pool 3
+    @example(0.5, 3000)
+    @example(0.35, 10)  # the tail falls from 7 on, but the cap costs more than pool 3
     def test_dorfman(self, rho, cap):
         cons = ConstraintSet(max_pool_size=cap)
         if cap < 2:
@@ -394,6 +399,8 @@ class TestOptimizersMinimizeTheirCost:
 
     @settings(deadline=None, max_examples=100)
     @given(PREVALENCES, st.integers(min_value=1, max_value=200), CLUSTER_CAPS)
+    @example(0.27, 3000, None)  # above 0.2643 no side beats a cost of 1
+    @example(0.5, 200, None)
     def test_array(self, rho, cap, cluster):
         cons = ConstraintSet(max_pool_size=cap, max_cluster_size=cluster)
         top = cap if cluster is None else min(cap, _largest_side(cluster, 2))
@@ -418,6 +425,7 @@ class TestOptimizersMinimizeTheirCost:
     @example(1e-4, 64, 26, 3)
     @example(1e-4, 64, 4**5, 5)
     @example(1e-4, 64, 4**5 - 1, 5)
+    @example(0.5, 200, None, 3)  # the floor stops at d = 3 even where cost(2) > 1
     def test_hypercube(self, rho, cap, cluster, d):
         cons = ConstraintSet(max_pool_size=cap, max_cluster_size=cluster)
         top = cap if cluster is None else min(cap, _largest_side(cluster, d))
@@ -432,6 +440,8 @@ class TestOptimizersMinimizeTheirCost:
 
     @settings(deadline=None, max_examples=100)
     @given(PREVALENCES, st.integers(min_value=1, max_value=300))
+    @example(0.55, 300)  # f(0) = 1 - 2 rho < 0: the cost itself never falls
+    @example(1e-4, 300)  # the floor stops short of the cap, past the optimum 142
     def test_sterrett(self, rho, cap):
         cons = ConstraintSet(max_pool_size=cap)
         if cap < 2:

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from poolscreen.dilution import (
     DilutionScenario,
-    expected_positives_per_pool,
     individual_false_negative_rate,
     introduced_false_negative_rate,
     max_pool_size_for_threshold,
@@ -50,28 +49,8 @@ class TestIndividualRate:
             scenario(aliquot_volume=21.0)
 
 
-class TestExpectedPositives:
-    def test_single_sample(self):
-        assert expected_positives_per_pool(1, 0.37) == 1.0
-
-    def test_reference_value(self):
-        assert expected_positives_per_pool(10, 0.01) == pytest.approx(1.046, abs=5e-4)
-
-    def test_everyone_positive(self):
-        assert expected_positives_per_pool(7, 1.0) == 7.0
-
-    def test_bounds(self):
-        for n in (1, 2, 10, 64):
-            for p in (0.001, 0.05, 0.5, 0.99):
-                val = expected_positives_per_pool(n, p)
-                assert 1.0 <= val <= n
-
-    def test_rejects_zero_prevalence(self):
-        with pytest.raises(ValueError):
-            expected_positives_per_pool(10, 0.0)
-
+class TestPooledRate:
     def test_numpy_integer_pool_size(self):
-        assert expected_positives_per_pool(np.int64(4), 0.1) == expected_positives_per_pool(4, 0.1)
         numpy_sized = scenario(pool_size=np.int64(4))
         assert pooled_false_negative_rate(numpy_sized) == pooled_false_negative_rate(
             scenario(pool_size=4)
@@ -79,8 +58,6 @@ class TestExpectedPositives:
         with pytest.raises(ValueError):
             scenario(pool_size=4.0)
 
-
-class TestPooledRate:
     def test_pool_of_one_is_individual(self):
         for conc in (0.1, 1.0, 5.0):
             sc = scenario(concentration=conc, pool_size=1)

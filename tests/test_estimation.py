@@ -11,7 +11,11 @@ from scipy.special import gammaln
 
 import literal_procedures
 from poolscreen import estimation
-from poolscreen.designs import ConstraintSet
+from poolscreen.designs import (
+    ConstraintSet,
+    dorfman_expected_tests_per_person,
+    dorfman_optimal_batch_continuous,
+)
 from poolscreen.estimation import (
     CostModel,
     GibbsGowerPlan,
@@ -666,6 +670,17 @@ class TestDorfmanBaseline:
     def test_no_gain_at_even_odds(self):
         # pooling never pays at 50% prevalence: falls back to individual testing
         assert dorfman_estimation_rmse(0.5, 100) == pytest.approx(math.sqrt(0.25 / 100))
+
+    @pytest.mark.parametrize("p", [1e-6, 1e-4, 0.01, 0.3, 0.31, 0.35, 0.418, 0.45, 0.9])
+    def test_matches_a_scan_past_the_continuous_optimum(self, p):
+        # the reference scans every batch to max(64, ceil(b0) + 2), or to 64
+        # where the cost has no interior minimum b0, and must agree bit for bit
+        try:
+            cap = max(64, math.ceil(dorfman_optimal_batch_continuous(p)) + 2)
+        except ValueError:
+            cap = 64
+        cost = min(1.0, *(dorfman_expected_tests_per_person(p, b) for b in range(2, cap + 1)))
+        assert dorfman_estimation_rmse(p, 100) == math.sqrt(p * (1.0 - p) / (100 / cost))
 
 
 # ---------------------------------------------------------------------------

@@ -107,8 +107,6 @@ BAD_CALLS = [
     ("dorfman_cost-huge-int", lambda: d.dorfman_expected_tests_per_person(0.05, 10**400),
      "batch size"),
     ("gg_tests_needed-huge-int", lambda: e.gg_tests_needed(0.05, 10**400, 0.15), "pool size"),
-    ("expected_positives-huge-int", lambda: dil.expected_positives_per_pool(10**400, 0.05),
-     "pool size"),
     ("monte_carlo-pools-past-int64",
      lambda: s.monte_carlo(e.GibbsGowerPlan(8, 2**63), 0.05, None, 3, 0), "num_pools"),
     ("gg_asymptotic_variance-past-int64", lambda: e.gg_asymptotic_variance(0.05, 5, 2**63),
@@ -150,8 +148,6 @@ BAD_CALLS = [
     ("DilutionScenario-sample-inf", lambda: scenario(sample_volume=INF), "sample_volume"),
     ("DilutionScenario-pool-float", lambda: scenario(pool_size=4.0), "pool_size"),
     ("DilutionScenario-prevalence-nan", lambda: scenario(prevalence=NAN), "prevalence"),
-    ("expected_positives-float", lambda: dil.expected_positives_per_pool(4.0, 0.1), "pool size"),
-    ("expected_positives-str", lambda: dil.expected_positives_per_pool(4, "0.1"), "prevalence"),
     ("max_pool-threshold-nan", lambda: dil.max_pool_size_for_threshold(scenario(), NAN),
      "threshold"),
     ("max_pool-float", lambda: dil.max_pool_size_for_threshold(scenario(), 0.05, 32.0),
@@ -244,7 +240,6 @@ NUMPY_CALLS = [
     ("report_for_plan", e.report_for_plan, (0.03125, 9, 120)),
     ("DilutionScenario", lambda *f: dil.pooled_false_negative_rate(dil.DilutionScenario(*f)),
      (1.0, 16.0, 4.0, 8, 0.03125)),
-    ("expected_positives", dil.expected_positives_per_pool, (8, 0.03125)),
     ("max_pool", lambda x, m: dil.max_pool_size_for_threshold(scenario(), x, m), (0.0625, 40)),
     ("monte_carlo", lambda p, n, reps, seed, workers: s.monte_carlo(
         d.SterrettDesign(5), p, n, reps, seed, workers=workers), (0.0625, 100, 300, 2, 2)),
