@@ -769,6 +769,9 @@ def classification_crossovers(
     given side.  Between the two crossings array testing is (slightly) cheaper;
     everywhere else Dorfman wins.  The cost difference is sampled on `grid`
     prevalences in [lo, hi], and each sign change is bisected to 1e-10.
+    Pricing the grid stops once no larger batch can lower any of its
+    Dorfman costs (_least_dorfman_costs), so its time follows the optimal
+    batches, not the cap.
     """
     dorfman_cap = integer(dorfman_cap, 2, "dorfman_cap")
     array_side = integer(array_side, 2, "array_side")
@@ -783,13 +786,11 @@ def classification_crossovers(
         return (dorfman_optimal_batch(rho, cons).cost(rho)
                 - array_expected_tests_per_person(rho, array_side))
 
-    # the grid in one pass per batch size: the least Dorfman cost over
-    # 2..cap, less the array cost, as diff computes them one prevalence at a time
+    # the least Dorfman cost less the array cost, as diff computes them one
+    # prevalence at a time
     rhos = np.linspace(lo, hi, grid)
     log_q = np.log1p(-rhos)
-    dorfman = np.full(grid, np.inf)
-    for b in range(2, dorfman_cap + 1):
-        np.minimum(dorfman, 1.0 / b - np.expm1(b * log_q), out=dorfman)
+    dorfman = _least_dorfman_costs(rhos, log_q, dorfman_cap)
     array_f = -np.expm1(array_side * log_q)
     values = dorfman - (2.0 / array_side + array_f * array_f)
     crossings = []
@@ -804,3 +805,28 @@ def classification_crossovers(
                 b = mid
         crossings.append(float(0.5 * (a + b)))
     return crossings
+
+
+def _least_dorfman_costs(rhos: np.ndarray, log_q: np.ndarray, cap: int) -> np.ndarray:
+    """The least of 1/b - expm1(b log_q) over batches b in 2..cap at each
+    prevalence of rhos, log_q = log(1 - rhos), in one pass per batch size.
+
+    As in _best_size, a prevalence's least cost so far falls no further once
+    the part 1 - q^b of its cost, which never falls, reaches it; and once b
+    is in its falling tail, only the cap's cost can lower it, so that is
+    taken.  The passes end at the first power of two of b where every
+    prevalence is settled one way or the other.
+    """
+    least = np.full(len(rhos), np.inf)
+    cap_cost = 1.0 / cap - np.expm1(cap * log_q)
+    two_q = 2.0 * (1.0 - rhos)
+    for b in range(2, cap + 1):
+        log_qb = b * log_q
+        rising = -np.expm1(log_qb)
+        np.minimum(least, 1.0 / b + rising, out=least)
+        if b & (b - 1) == 0:
+            tail = (b * rhos > two_q) & (rhos * np.exp(log_qb) * (b * (b + 1)) < 1.0)
+            np.minimum(least, cap_cost, out=least, where=tail)
+            if (tail | (rising >= least)).all():
+                break
+    return least

@@ -30,9 +30,9 @@ Planning conventions:
 * "tests needed" is the smallest integer t whose exact normalized RMSE
   (sqrt(MSE)/p) meets the target.
 * with every pool positive the estimate is 1, so
-  MSE(b, t) >= (1 - (1-p)^b)^t (1-p)^2, a floor that grows with b; both
-  pool-size planners sweep only the sizes whose floor stays within a known
-  MSE, since no larger size can beat it.
+  MSE(b, t) >= (1 - (1-p)^b)^t (1-p)^2, a floor that grows with b; every
+  pool-size planner stops where that floor shows that no larger size can
+  beat a known one.
 * optimal pool size at a test budget minimizes the exact MSE over b.  The
   size near the asymptotic optimum, 1.594 / -log(1-p), bounds the least
   MSE, and the sweep stops where the floor passes that bound.
@@ -40,16 +40,18 @@ Planning conventions:
   requirement, then breaks the (wide) ties by the smallest exact MSE at that
   requirement.  The search is exhaustive in b and assumes only that the
   NRMSE falls as t grows.  It starts from the lesser requirement of the
-  sizes 1.2 / -log(1-p) and 1.594 / -log(1-p), and drops the sizes whose
-  floor alone misses the target there; its cost grows with the pool sizes
-  it sweeps, about 1/p (some 0.02 s at p = 1e-4, 0.24 s at
-  1e-5, 2.7 s at 1e-6).
+  sizes 1.2 / -log(1-p) and 1.594 / -log(1-p), drops the sizes whose floor
+  alone misses the target there, and gallops in t from the count that the
+  least NRMSE there predicts; its cost grows with the pool sizes it sweeps,
+  about 1/p (some 0.016 s at p = 1e-4, 0.18 s at 1e-5, 2.7 s at 1e-6).
 * cost minimization ranks pool sizes by the fractional test requirement
   (the real-valued t where the exact NRMSE crosses the target), which avoids
   integer-rounding cliffs in the objective, then reports the integer
-  requirement of the winner.  The search is exhaustive in b and bounded by
-  the target planner's least requirement; it evaluates about 1/p sizes, so
-  its time grows as 1/p too (some 0.3 s at p = 1e-4, 0.9 s at 3e-5).
+  requirement of the winner.  The search is exhaustive in b: the size that
+  minimizes the asymptotic cost bounds the least cost, the floor stops the
+  search, one batched sweep of exact MSEs drops the sizes that cannot win,
+  and only the rest are solved one by one.  Its time still grows as 1/p
+  (some 0.05 s at p = 1e-4, 0.4 s at 1e-5).
 """
 
 from __future__ import annotations
@@ -255,7 +257,7 @@ def _log_weights(k: np.ndarray, t: int, m: int, odds: float) -> np.ndarray:
 def _half_widths(p: float, t: int, log_b, odds, var):
     """(below, above): how far the windows of Binomial(t, P) counts reach
     below and above their means, for pool sizes of log log_b, with
-    odds = log(P / (1-P)) and variances var (floats or arrays alike).
+    odds = log(P / (1-P)) and variances var (floats or arrays alike, t too).
 
     Bernstein's inequality puts at most e^-L of the mass more than
     x = (L + sqrt(L^2 + 18 L var)) / 3 above the mean, and as much below it.
@@ -268,7 +270,8 @@ def _half_widths(p: float, t: int, log_b, odds, var):
     grows when they are doubled.
     """
     log_errs = (math.log(p), math.log1p(-p))
-    log_inv_mse = math.log(t) - 2.0 * log_errs[1] + 2.0 * log_b - odds  # log(1 / v)
+    log_t = np.log(t) if isinstance(t, np.ndarray) else math.log(t)
+    log_inv_mse = log_t - 2.0 * log_errs[1] + 2.0 * log_b - odds  # log(1 / v)
     least = max(-2.0 * max(log_errs), 1.0 - _LOG_HALF_SHARE - 2.0 * min(log_errs))
     # max(log_inv_mse, least), for floats and arrays alike
     log_inv_mse = log_inv_mse + (least - log_inv_mse) * (log_inv_mse < least)
@@ -283,27 +286,32 @@ def _half_widths(p: float, t: int, log_b, odds, var):
 def _tails_negligible(p: float, t: int, k_lo, k_hi, odds, w_lo, w_hi, mse):
     """Whether the counts below k_lo and above k_hi can add at most
     _TAIL_SHARE of mse, for windows whose edge weights w_lo, w_hi are on the
-    scale of mse (floats or arrays, one per pool size).
+    scale of mse (floats or arrays, one per pool size; t, k_lo and k_hi
+    too).
 
     A window holds its mean t P, where the estimate is p, so an omitted
     count's squared error is at most (1-p)^2 above it and p^2 below it.  The
     ratio r = (t-k)/(k+1) P/(1-P) of consecutive binomial terms falls as k
     grows, and is below 1 past the mean, so the mass above k_hi is at most
-    w_hi r/(1-r) at k = k_hi; below k_lo likewise.
+    w_hi r/(1-r) at k = k_hi; below k_lo likewise.  A window that reaches
+    0 or t has r = 0 there, and no tail.
     """
-    excess = 0.0
-    if k_hi < t:
-        excess = excess + (1.0 - p) ** 2 * _geometric_tail(
-            w_hi, math.log((t - k_hi) / (k_hi + 1)) + odds)
-    if k_lo > 0:
-        excess = excess + p * p * _geometric_tail(w_lo, math.log(k_lo / (t - k_lo + 1)) - odds)
+    excess = (1.0 - p) ** 2 * _geometric_tail(w_hi, t - k_hi, k_hi + 1, odds)
+    excess = excess + p * p * _geometric_tail(w_lo, k_lo, t - k_lo + 1, -odds)
     return excess <= _TAIL_SHARE * mse
 
 
-def _geometric_tail(w, log_ratio):
-    """w r/(1-r) for r = e^log_ratio below 1: the sum past a term w whose
-    outward ratios start at r and fall."""
-    r = np.exp(log_ratio)
+def _geometric_tail(w, count, other, odds):
+    """w r/(1-r) for r = (count / other) e^odds below 1: the sum past a term
+    w whose outward ratios start at r and fall; 0 where count is 0 (floats
+    or arrays alike)."""
+    if isinstance(count, np.ndarray):
+        log_ratio = np.log(count / other, out=np.full(count.shape, -np.inf), where=count > 0)
+    elif count > 0:
+        log_ratio = math.log(count / other)
+    else:
+        return 0.0
+    r = np.exp(log_ratio + odds)
     return w * r / (1.0 - r)
 
 
@@ -383,11 +391,31 @@ def gg_asymptotic_variance(p: float, b: int, t: int) -> float:
     return exp_or_inf(_log_unit_variance(p, b) - math.log(t))
 
 
+def _nrmse(p: float, mse: float) -> float:
+    """sqrt(mse) / p; a ValueError where the MSE underflowed to 0 at 0 < p < 1,
+    where no MSE is 0 and sqrt(MSE) / p cannot be recovered."""
+    if mse == 0.0 and 0.0 < p < 1.0:
+        raise _underflow(p)
+    return math.sqrt(mse) / p
+
+
+def _nrmses(p: float, mses: np.ndarray) -> np.ndarray:
+    """_nrmse for an array of MSEs at 0 < p < 1."""
+    if not mses.all():
+        raise _underflow(p)
+    return np.sqrt(mses) / p
+
+
+def _underflow(p: float) -> ValueError:
+    return ValueError(f"the exact MSE underflows to 0 at prevalence {p}, so no NRMSE "
+                      "can be formed from it")
+
+
 def gg_nrmse(p: float, b: int, t: int, method: str = "exact") -> float:
     """Root-MSE of the estimator divided by the true prevalence."""
     p = prob(p, open_zero=True)
     if method == "exact":
-        return math.sqrt(gg_mse(p, b, t)) / p
+        return _nrmse(p, gg_mse(p, b, t))
     if method == "asymptotic":
         return math.sqrt(gg_asymptotic_variance(p, b, t)) / p
     raise ValueError(f"method must be 'exact' or 'asymptotic', got {method!r}")
@@ -419,7 +447,7 @@ def _asymptotic_tests(p: float, b: int, target: float) -> int:
 
 
 def _nrmse_unchecked(p: float, b: int, t: int) -> float:
-    return math.sqrt(_exact_moments(p, b, t)[1]) / p
+    return _nrmse(p, _exact_moments(p, b, t)[1])
 
 
 def _tests_needed_exact(p: float, b: int, target: float) -> tuple[int, float, float]:
@@ -606,6 +634,110 @@ def _mse_sweep(p: float, bs: np.ndarray, t: int, widen: float):
     return out, proven
 
 
+def _mse_rows(p: float, bs: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """Exact MSE of many (pool size, pool count) rows, each with its own t.
+
+    Each row's window is sized about its own mean and checked as in
+    _binomial_window; the rows whose check fails are summed again with their
+    half-widths doubled.  The rows go through _rows_sweep _SWEEP_ROWS at a
+    time, which bounds its per-row arrays however many rows there are.
+    """
+    out = np.empty(len(bs), dtype=float)
+    for lo in range(0, len(bs), _SWEEP_ROWS):
+        b, t = bs[lo : lo + _SWEEP_ROWS], ts[lo : lo + _SWEEP_ROWS]
+        mses, proven = _rows_sweep(p, b, t, 1.0)
+        widen = 1.0
+        while not proven.all():
+            redo, widen = ~proven, 2.0 * widen
+            mses[redo], proven[redo] = _rows_sweep(p, b[redo], t[redo], widen)
+        out[lo : lo + len(b)] = mses
+    # b == 1 rows: exact closed form
+    ones = bs == 1
+    out[ones] = p * (1.0 - p) / ts[ones]
+    return out
+
+
+def _rows_sweep(p: float, bs: np.ndarray, ts: np.ndarray, widen: float):
+    """(MSE, proven) for each (pool size, pool count) row, over windows of
+    widen times the _half_widths; proven where _tails_negligible holds.
+
+    Each chunk of rows is padded to its widest window, with as many rows as
+    keep rows x padded width within _MSE_ENTRIES, and is summed in two
+    buffers that every chunk reuses.  The log weights of a row are the 2-D
+    form of _log_weights: its steps cumsummed outward from its own mode; its
+    padded entries repeat its last count, and their log weights are -inf.
+    """
+    out = np.empty(len(bs), dtype=float)
+    proven = np.empty(len(bs), dtype=bool)
+    log_qb = bs * math.log1p(-p)
+    probs = -np.expm1(log_qb)
+    means = ts * probs
+    all_odds = np.log(probs) - log_qb
+    below, above = _half_widths(p, ts, np.log(bs), all_odds, means * np.exp(log_qb))
+    all_lows = np.maximum(0.0, np.floor(means - widen * below))
+    all_highs = np.minimum(ts, np.floor(means + widen * above) + 1.0)
+    spans = all_highs - all_lows  # each row's last column
+    modes = np.minimum(ts, np.floor((ts + 1) * probs)) - all_lows  # each row's mode column
+    widest = int(spans.max(initial=0.0)) + 1
+    size = max(widest, min(_MSE_ENTRIES, len(bs) * widest))
+    bufs = np.empty((2, size))
+    mask_buf = np.empty(size, dtype=bool)
+    start = 0
+    while start < len(bs):
+        # the padded width only grows as rows are added: the rows that fit
+        # are a prefix of the at most _MSE_ENTRIES / (first width) candidates
+        stop = start + max(1, _MSE_ENTRIES // int(spans[start] + 1))
+        widths = np.maximum.accumulate(spans[start:stop]) + 1.0
+        rows = max(1, int(np.count_nonzero(widths * np.arange(1, len(widths) + 1) <= _MSE_ENTRIES)))
+        end, cols = start + rows, np.arange(widths[rows - 1])
+        w, ph = (buf[: rows * len(cols)].reshape(rows, len(cols)) for buf in bufs)
+        mask = mask_buf[: rows * len(cols)].reshape(rows, len(cols))
+        t, last, lows = ts[start:end, None], spans[start:end, None], all_lows[start:end, None]
+        # the counts, in w for now, each row's last one repeated over its padding
+        np.add(np.minimum(cols, last, out=w), lows, out=w)
+        # ph[:, j] = log(w_k / w_(k-1)) at column j >= 1
+        ph[:, 0] = 0.0
+        np.subtract(t + 1.0, w[:, 1:], out=ph[:, 1:])
+        ph[:, 1:] /= w[:, 1:]
+        np.log(ph[:, 1:], out=ph[:, 1:])
+        ph[:, 1:] += all_odds[start:end, None]
+        # cumsummed rightward above the mode (in w, where the padding is
+        # -inf) and leftward up to it (in ph)
+        np.multiply(ph, np.greater(cols, modes[start:end, None], out=mask), out=w)
+        ph -= w
+        np.copyto(w, -np.inf, where=np.greater(cols, last, out=mask))
+        np.add.accumulate(w, axis=1, out=w)
+        np.add.accumulate(ph[:, ::-1], axis=1, out=ph[:, ::-1])
+        w[:, :-1] -= ph[:, 1:]
+        np.exp(w, out=w)
+        # the counts again, and log(1 - k/t) in place as _log_negatives_share
+        # takes it: log1p up to t/2 and log((t - k)/t) past it
+        np.add(np.minimum(cols, last, out=ph), lows, out=ph)
+        high = ph > t // 2
+        if high.any():
+            low = ~high
+            np.log1p(np.divide(ph, -t, out=ph, where=low), out=ph, where=low)
+            np.divide(np.subtract(t, ph, out=ph, where=high), t, out=ph, where=high)
+            with np.errstate(divide="ignore"):
+                np.log(ph, out=ph, where=high)
+        else:
+            np.log1p(np.divide(ph, -t, out=ph), out=ph)
+        # w (ph - p)^2 in place, as (expm1(.) + p)^2 since ph = -expm1(.)
+        ph /= bs[start:end, None]
+        np.expm1(ph, out=ph)
+        ph += p
+        ph *= ph
+        ph *= w
+        sq_sums = ph.sum(axis=1)
+        out[start:end] = sq_sums / w.sum(axis=1)
+        w_hi = w[np.arange(rows), spans[start:end].astype(np.intp)]
+        proven[start:end] = _tails_negligible(
+            p, ts[start:end], all_lows[start:end], all_highs[start:end], all_odds[start:end],
+            w[:, 0], w_hi, sq_sums)
+        start = end
+    return out, proven
+
+
 def _saturation_cap(p: float, t: int, mse: float, b_max: int) -> int:
     """Last pool size up to b_max whose all-pools-positive term does not
     exceed mse (1 + _REL_GUARD), plus one against rounding.
@@ -662,19 +794,34 @@ def _optimal_pool_target(p: float, target: float, b_max: int) -> GibbsGowerPlan:
     # at every t <= t_hi
     bs = np.arange(1, _saturation_cap(p, t_hi, (bound * p) ** 2, b_max) + 1)
     mses = _mse_many(p, bs, t_hi)
-    # bisect t in (0, t_hi]: a size that meets the target at t - 1 also meets
-    # it at t, so the candidates shrink to the sizes that meet it at hi
-    meets = np.sqrt(mses) / p <= bound
-    bs, mses = bs[meets], mses[meets]
-    lo, hi = 0, t_hi
+    # a size that meets the target at t - 1 also meets it at t, so the
+    # candidates shrink to the sizes that meet it at hi
+    nrmses = _nrmses(p, mses)
+    meets = nrmses <= bound
+    bs, mses, lo, hi = bs[meets], mses[meets], 0, t_hi
+
+    def probe(t):
+        nonlocal bs, mses, lo, hi
+        t_mses = _mse_many(p, bs, t)
+        meets = _nrmses(p, t_mses) <= bound
+        if not meets.any():
+            lo = t
+            return False
+        bs, mses, hi = bs[meets], t_mses[meets], t
+        return True
+
+    # NRMSE^2 falls about as 1/t, so the answer lies near
+    # t_hi (least NRMSE / bound)^2, mostly at t_hi itself: gallop from there
+    # in steps of 1, 2, 4, ..., down while some size meets the target and up
+    # while none does, then bisect what is left of (lo, hi]
+    t, step, met = min(t_hi - 1, _ceil_slack(t_hi * (nrmses.min() / bound) ** 2)), 1, None
+    while lo < t < hi:
+        now = probe(t)
+        if met is not None and now != met:
+            break
+        t, step, met = (t - step if now else t + step), 2 * step, now
     while hi - lo > 1:
-        mid = (lo + hi) // 2
-        mid_mses = _mse_many(p, bs, mid)
-        meets = np.sqrt(mid_mses) / p <= bound
-        if meets.any():
-            hi, bs, mses = mid, bs[meets], mid_mses[meets]
-        else:
-            lo = mid
+        probe((lo + hi) // 2)
     best = int(bs[int(np.argmin(mses))])  # argmin takes the first = smallest b on ties
     return GibbsGowerPlan(best, hi)
 
@@ -720,25 +867,34 @@ def gg_minimize_cost(
     full test) cannot mask a genuinely cheaper pool size (ties go to the
     smaller); the returned plan and objective use the actual integer
     requirement of the winner.  caps.max_pool_size replaces ceil(10/p).
+
+    A feasible size near the one that minimizes the asymptotic cost seeds
+    the least cost (_cost_seed), and _cost_stop bounds the sizes that can
+    beat it.  A size that misses the target at
+    ceil(least cost / (alpha b + beta)) pools costs more, and one _mse_rows
+    sweep at that pool count for every size finds those; only the rest are
+    solved.
     """
     p = prob(p, open_zero=True, open_one=True)
     cost = instance(cost, CostModel, "cost")
     target = real(target_nrmse, "target_nrmse", strict=True)
     caps = instance(caps, designs.ConstraintSet, "caps", optional=True)
     b_max = _default_pool_cap(p) if caps is None else caps.pool_cap(_default_pool_cap(p))
-    # every size needs t_real(b) > t_int(b) - 1 >= t_min - 1 pools, where
-    # t_min is the target planner's least requirement over all sizes
-    start = _optimal_pool_target(p, target, b_max)
-    t_min, bound = start.num_pools, target * (1.0 + _REL_GUARD)
-    best_b = start.pool_size
-    t_real, best_t = _tests_needed_pair(p, best_b, target)
+    bound = target * (1.0 + _REL_GUARD)
+    best_b, t_real, best_t = _cost_seed(p, cost, target, b_max)
     best = t_real * cost.objective(best_b, 1)
-    for b in range(1, b_max + 1):
+    # prune in one sweep: missing the target at ceil(best / weight) pools
+    # puts t_real above it, and best only falls, so such a size never wins;
+    # the margin lets rounding keep a size, never drop one
+    bs = np.arange(1, _cost_stop(p, cost, bound, best, b_max))
+    bs = bs[bs != best_b]
+    ts = np.ceil(best / (cost.sample_weight * bs + cost.test_weight))
+    summed = ts <= _T_SEARCH_LIMIT  # past it, sizes stay candidates
+    keep = ~summed
+    keep[summed] = _nrmses(p, _mse_rows(p, bs[summed], ts[summed])) <= bound * (1.0 + 1e-12)
+    for b in bs[keep].tolist():
         weight = cost.objective(b, 1)
-        if (t_min - 1) * weight >= best:
-            break  # the weight never falls as b grows, so no later size wins
-        # missing the target at ceil(best / weight) pools puts t_real above it
-        if b == best_b or _nrmse_unchecked(p, b, math.ceil(best / weight)) > bound:
+        if _nrmse_unchecked(p, b, math.ceil(best / weight)) > bound:
             continue
         try:
             t_real, t_int = _tests_needed_pair(p, b, target)
@@ -749,6 +905,93 @@ def gg_minimize_cost(
             best_b, best_t, best = b, t_int, v
     plan = GibbsGowerPlan(best_b, best_t)
     return CostOptimum(plan, plan.total_samples, cost.objective(plan.total_samples, best_t))
+
+
+def _cost_seed(p: float, cost: CostModel, target: float, b_max: int) -> tuple[int, float, int]:
+    """A feasible size, with its fractional and integer requirements, to seed
+    the cost planner's bound; any feasible size would do.
+
+    The size that minimizes the asymptotic cost, else the first feasible
+    size as it doubles up to 1.594 / -log(1-p), below which requirements
+    fall as sizes grow (a small size can need more pools than the search
+    limit), else the target planner's plan, which raises when no size is
+    feasible.
+    """
+    b = _asymptotic_cost_size(p, cost, b_max)
+    peak = max(b, _start_size(p, _X_STAR, b_max))
+    while True:
+        try:
+            return (b, *_tests_needed_pair(p, b, target))
+        except InfeasibleDesignError:
+            if b == peak:
+                break
+            b = min(2 * b, peak)
+    b = _optimal_pool_target(p, target, b_max).pool_size
+    return (b, *_tests_needed_pair(p, b, target))
+
+
+def _asymptotic_cost_size(p: float, cost: CostModel, b_max: int) -> int:
+    """The size in 1..b_max that minimizes the asymptotic objective
+    (alpha b + beta) t_asym(b), found without an array over the sizes.
+
+    With x = -b log(1-p), t_asym(b) is proportional to (e^x - 1) / b^2, and
+    b times the objective's log-derivative, alpha b / (alpha b + beta) - 2 +
+    x / (1 - e^-x), rises with b: the objective falls, then rises.  The
+    first size where it rises, or the one before it, is the least.
+    """
+    lam = -math.log1p(-p)
+
+    def rising(b):
+        x = lam * b
+        return cost.sample_weight * b / cost.objective(b, 1) - 2.0 + x / -math.expm1(-x) >= 0.0
+
+    def log_objective(b):
+        x = lam * b
+        return math.log(cost.objective(b, 1)) + x + math.log(-math.expm1(-x)) - 2.0 * math.log(b)
+
+    if not rising(b_max):
+        return b_max
+    b = _first_true(rising, 0, b_max)
+    return b if b == 1 else min(b - 1, b, key=log_objective)
+
+
+def _cost_stop(p: float, cost: CostModel, bound: float, best: float, b_max: int) -> int:
+    """The first size in 1..b_max from which every size costs more than
+    best, or b_max + 1.
+
+    With every pool positive the estimate is 1, so
+    MSE(b, t) >= (1 - (1-p)^b)^t (1-p)^2, and a size that meets the target
+    needs t_f(b) = 2 log(bound p / (1-p)) / log(1 - (1-p)^b) pools or more,
+    a floor that never falls as b grows.  Its fractional requirement
+    exceeds t_f(b) - 1, so once (t_f(b) - 1)(alpha b + beta) reaches best no
+    later size can win.  t_f is rounded down against rounding.
+    """
+    log_q = math.log1p(-p)
+    # log((bound p / (1-p))^2 (1 + _REL_GUARD)): the most (1 - (1-p)^b)^t
+    # can be at a pool count that meets the target
+    log_share = 2.0 * (math.log(bound) + math.log(p) - log_q) + math.log1p(_REL_GUARD)
+    if log_share >= 0.0:
+        return b_max + 1  # the floor bounds nothing
+
+    def beyond(b):
+        q_b = math.exp(b * log_q)
+        log_positive = math.log1p(-q_b) if q_b < 0.5 else math.log(-math.expm1(b * log_q))
+        t_f = log_share / log_positive if log_positive < 0.0 else math.inf
+        return (_ceil_slack(min(t_f, 2.0**62)) - 1) * cost.objective(b, 1) >= best
+
+    return _first_true(beyond, 0, b_max + 1)
+
+
+def _first_true(holds, lo: int, hi: int) -> int:
+    """The least b in (lo, hi) where holds(b), for a condition that never
+    turns false as b grows, or hi where it holds at none of them."""
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def estimation_rule_of_thumb(p_guess: float) -> GibbsGowerPlan:
@@ -814,7 +1057,7 @@ def report_for_outcome(outcome: PoolTestOutcome) -> EstimationReport:
         expected_p_hat=expected,
         mse=mse,
         asymptotic_variance=gg_asymptotic_variance(p_hat, b, t),
-        nrmse=math.sqrt(mse) / p_hat,
+        nrmse=_nrmse(p_hat, mse),
         saturated=saturated,
     )
 
@@ -831,6 +1074,6 @@ def report_for_plan(p: float, b: int, t: int) -> EstimationReport:
         expected_p_hat=expected,
         mse=mse,
         asymptotic_variance=gg_asymptotic_variance(p, b, t),
-        nrmse=math.sqrt(mse) / p,
+        nrmse=_nrmse(p, mse),
         saturated=False,
     )

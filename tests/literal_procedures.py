@@ -23,11 +23,13 @@ More oracles check closed forms and shortcuts of the library:
 sterrett_expected_tests_enumerated prices every one of the 2^b infection
 patterns of a batch with the literal walk, and sterrett_expected_tests_recursive
 runs the O(b^2) recursion over the first positive's position to large b,
-both against the Sterrett closed form; and gibbs_gower draws every sample of
+both against the Sterrett closed form; gibbs_gower draws every sample of
 every pool of a Gibbs-Gower study, against the binomial shortcut the Monte
 Carlo harness draws positive-pool counts with; tests_needed_by_bisection
 solves for a pool count by plain bisection from 0, against the gallop from
-the asymptotic count that gg_tests_needed brackets the answer with.
+the asymptotic count that gg_tests_needed brackets the answer with; and
+minimize_cost_by_scan prices every pool size up to a stop, against the
+cost planner's prune.
 """
 
 import math
@@ -285,3 +287,38 @@ def tests_needed_by_bisection(p, b, target):
         else:
             lo = mid
     return hi
+
+
+def minimize_cost_by_scan(p, cost, target):
+    """The cheapest Gibbs-Gower plan for the target at the default pool-size
+    cap, by a scan over every size from 1 up: the fractional requirement of
+    each size times its weight alpha b + beta, the smallest size among the
+    cheapest, and its integer requirement.
+
+    The scan starts from the target planner's plan, whose pool count t_min is
+    the least requirement of any size, so every size needs more than
+    t_min - 1 pools, and it stops once (t_min - 1) times the weight, which
+    never falls, reaches the least cost so far.  A size that misses the
+    target at ceil(least cost / weight) pools costs more and is skipped.
+    """
+    bound = target * (1.0 + estimation._REL_GUARD)
+    start = estimation.gg_optimal_pool(p, target_nrmse=target)
+    t_min, best_b = start.num_pools, start.pool_size
+    t_real = estimation.gg_tests_needed_real(p, best_b, target)
+    best_t = estimation.gg_tests_needed(p, best_b, target)
+    best = t_real * cost.objective(best_b, 1)
+    for b in range(1, math.ceil(10.0 / p) + 1):
+        weight = cost.objective(b, 1)
+        if (t_min - 1) * weight >= best:
+            break
+        t = math.ceil(best / weight)
+        if b == best_b or math.sqrt(estimation._exact_moments(p, b, t)[1]) / p > bound:
+            continue
+        try:
+            t_real = estimation.gg_tests_needed_real(p, b, target)
+        except estimation.InfeasibleDesignError:
+            continue
+        v = t_real * weight
+        if v < best or (v == best and b < best_b):
+            best_b, best_t, best = b, estimation.gg_tests_needed(p, b, target), v
+    return estimation.GibbsGowerPlan(best_b, best_t)

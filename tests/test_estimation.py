@@ -324,6 +324,32 @@ class TestMseSweep:
                         err_msg=f"p={p} t={t} budget={budget} span={span}")
 
 
+class TestMseRows:
+    """_mse_rows sums each (pool size, pool count) row over its own window
+    about its own mode, the rows of a chunk padded to its widest window; none
+    of it may show in results."""
+
+    @pytest.mark.parametrize("budget", [None, 500, 1])
+    @pytest.mark.parametrize("p", [1e-4, 0.01, 0.3])
+    def test_matches_exact_reference(self, monkeypatch, p, budget):
+        if budget is not None:
+            monkeypatch.setattr(estimation, "_MSE_ENTRIES", budget)
+        rng = np.random.default_rng(7)
+        bs = np.r_[rng.integers(1, 40, 12), rng.integers(1, round(3 / p), 12), 1, 1, 2, 5, 2]
+        ts = np.r_[rng.integers(1, 5000, 24), 1, 7, 1, 2, 7]
+        expected = np.array([_exact_reference(p, int(b), int(t))[1] for b, t in zip(bs, ts)])
+        np.testing.assert_allclose(estimation._mse_rows(p, bs, ts), expected, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("p, b, t", [(0.165, 8, 25_999), (0.0197, 3, 41_246), (0.0130, 29, 73_088)])
+    def test_rows_far_from_a_sweeps_middle(self, p, b, t):
+        # these sizes lost a few 1e-14 of their MSE in _mse_many sweeps over
+        # b = 1..399, whose chunks share one cumsum; here each row has its own
+        bs = np.arange(1, 400)
+        mses = estimation._mse_rows(p, bs, np.full(len(bs), t))
+        m_ref = _exact_reference(p, b, t)[1]
+        assert abs(mses[b - 1] - m_ref) <= 5e-15 * m_ref
+
+
 class TestAsymptoticVariance:
     def test_guideline_cell(self):
         nrmse = gg_nrmse(0.01, 8, 600, method="asymptotic")
@@ -576,6 +602,23 @@ class TestOptimalPool:
         assert plan == GibbsGowerPlan(best, t_star)
         assert plan.num_pools == gg_tests_needed(p, plan.pool_size, target)
 
+    @pytest.mark.parametrize("p, plan, counts", [
+        # the answer is the start's requirement of 78: no size meets the target at 77
+        (1e-4, GibbsGowerPlan(12084, 78), [78, 77]),
+        # the probe at 75 misses and the one above it meets
+        (0.01, GibbsGowerPlan(138, 76), [77, 75, 76]),
+        # the answer lies 4 below the start's requirement of 83
+        (1e-5, GibbsGowerPlan(110159, 79), [83, 78, 79]),
+    ])
+    def test_target_mode_gallops_from_a_predicted_count(self, monkeypatch, p, plan, counts):
+        # a bisection from 0 swept at 8 counts at p = 1e-4
+        swept = []
+        sweep = estimation._mse_many
+        monkeypatch.setattr(estimation, "_mse_many",
+                            lambda p, bs, t: swept.append(t) or sweep(p, bs, t))
+        assert gg_optimal_pool(p, target_nrmse=0.15) == plan
+        assert swept == counts
+
     def test_mode_exclusivity(self):
         with pytest.raises(ValueError):
             gg_optimal_pool(0.05)
@@ -611,6 +654,29 @@ class TestMinimizeCost:
         opt = gg_minimize_cost(3e-5, CostModel(1.0, 0.0), 0.15)
         assert opt.plan == GibbsGowerPlan(2, 740731)
 
+    def test_prunes_in_one_sweep(self, monkeypatch):
+        # the scan over every size up to its stop made 1,015 exact evaluations
+        calls = []
+        exact = estimation._exact_moments
+        monkeypatch.setattr(estimation, "_exact_moments",
+                            lambda p, b, t: calls.append(b) or exact(p, b, t))
+        opt = gg_minimize_cost(0.001, CostModel(1.0, 10.0), 0.15)
+        assert (opt.plan.pool_size, opt.plan.num_pools) == (131, 364)
+        assert len(calls) <= 200
+
+    @settings(deadline=None, max_examples=25)
+    @given(
+        st.floats(math.log(1e-3), math.log(0.45)).map(math.exp),
+        st.floats(0.05, 0.4),
+        st.sampled_from([0.0, 1.0]),
+        st.one_of(st.just(0.0), st.floats(0.5, 50)),
+    )
+    def test_matches_the_scan(self, p, target, alpha, beta):
+        assume(alpha + beta > 0.0)
+        cost = CostModel(alpha, beta)
+        expected = literal_procedures.minimize_cost_by_scan(p, cost, target)
+        assert gg_minimize_cost(p, cost, target).plan == expected
+
     @settings(deadline=None, max_examples=40)
     @given(
         st.floats(0.005, 0.45),
@@ -619,6 +685,9 @@ class TestMinimizeCost:
         st.sampled_from([0.0, 1.0]),
         st.one_of(st.just(0.0), st.floats(0.5, 50)),
     )
+    # tiny prevalences, where the small sizes need more pools than the search limit
+    @example(p=1e-4, target=0.15, cap=80, alpha=1.0, beta=10.0)
+    @example(p=1e-5, target=0.15, cap=60, alpha=1.0, beta=0.0)
     def test_matches_brute_force(self, p, target, cap, alpha, beta):
         assume(alpha + beta > 0.0)
         # every size's fractional requirement times its weight; the smallest

@@ -326,3 +326,31 @@ def test_tiniest_prevalence_rule_of_thumb():
 def test_tiniest_prevalence_cli_plan(capsys, extra):
     assert main(["estimate", "--plan", "--prevalence-guess", "5e-324", *extra]) in (2, 3)
     assert capsys.readouterr().err.startswith("error: ")
+
+
+# The exact MSE underflows to 0 at the tiniest prevalence, where sqrt(MSE) / p
+# would read 0 and meet any target: no NRMSE, requirement or plan is formed
+# from it.
+UNDERFLOW = "the exact MSE underflows to 0 at prevalence 5e-324"
+UNDERFLOWING = [
+    ("gg_tests_needed", lambda: e.gg_tests_needed(TINY, 5, 0.15)),
+    ("gg_tests_needed_real", lambda: e.gg_tests_needed_real(TINY, 5, 0.15)),
+    ("gg_nrmse", lambda: e.gg_nrmse(TINY, 5, 100)),
+    ("report_for_plan", lambda: e.report_for_plan(TINY, 5, 100)),
+    ("gg_optimal_pool", lambda: e.gg_optimal_pool(TINY, target_nrmse=0.15)),
+    ("gg_optimal_pool-cap-50", lambda: e.gg_optimal_pool(TINY, target_nrmse=0.15, cap=50)),
+    ("gg_minimize_cost", lambda: e.gg_minimize_cost(TINY, e.CostModel(1.0, 10.0), 0.15)),
+    ("gg_minimize_cost-samples", lambda: e.gg_minimize_cost(TINY, e.CostModel(1.0, 0.0), 0.15)),
+]
+
+
+@pytest.mark.parametrize("call", [c for _, c in UNDERFLOWING], ids=[i for i, _ in UNDERFLOWING])
+def test_underflowing_mse_forms_no_nrmse(call):
+    with pytest.raises(ValueError, match=UNDERFLOW):
+        call()
+
+
+@pytest.mark.parametrize("extra", [[], ["--sample-cost", "1"]], ids=["target", "cost"])
+def test_underflowing_mse_cli_plan(capsys, extra):
+    assert main(["estimate", "--plan", "--prevalence-guess", "5e-324", *extra]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {UNDERFLOW}")
