@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -305,7 +306,11 @@ def _add_dilution_scenario(sub, required: bool):
                      help="viral particles per volume unit")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The poolscreen parser, built on the first call; every later call, and
+    so every main call, returns that same parser.  It depends on no input,
+    and main keeps each call's argv and config out of it."""
     parser = argparse.ArgumentParser(
         prog="poolscreen",
         description="design, evaluate and simulate pooled-testing schemes",
@@ -410,9 +415,8 @@ def main(argv: list[str] | None = None) -> int:
         else:
             argv = injected + argv
 
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on bad usage
         return int(exc.code or 0)
 

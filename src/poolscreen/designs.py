@@ -366,7 +366,8 @@ def _best_size(cost, cap: int, what: str, fixed: float, rho: float | None = None
     cost(b) - max(fixed, 0)/b never falls as b grows, so the scan stops once
     that floor reaches the least cost so far.  Given rho, the cost falls at
     every size past one with b > 2q/rho and rho q^b b (b+1) < 1 (q = 1 - rho),
-    so there only the cap can still win.
+    so there only the cap's cost can still win, and the least size that
+    rounds to it is found by bisection: past 2^53 the cost is flat in floats.
     """
     if cap < 2:
         raise ValueError(f"constraints leave no {what} of 2 or more to search (cap {cap})")
@@ -380,8 +381,24 @@ def _best_size(cost, cap: int, what: str, fixed: float, rho: float | None = None
             break
         if (rho is not None and b * rho > 2.0 * (1.0 - rho)
                 and rho * (1.0 - rho) ** b * b * (b + 1) < 1.0):
-            return cap if cost(cap) < best else arg
+            last = cost(cap)
+            if last >= best:
+                return arg
+            # no size up to b costs less than best, and past b the cost falls
+            return _first_true(lambda x: cost(x) <= last, b, cap)
     return arg
+
+
+def _first_true(holds, lo: int, hi: int) -> int:
+    """The least b in (lo, hi) where holds(b), for a condition that never
+    turns false as b grows, or hi where it holds at none of them."""
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 # ---------------------------------------------------------------------------

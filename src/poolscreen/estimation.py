@@ -62,6 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import designs
+from .designs import _first_true
 from ._validate import _INT64_MAX, exp_or_inf, instance, integer, positive_fraction, prob, real
 
 __all__ = [
@@ -231,6 +232,21 @@ def _log_negatives_share(k, t: int) -> np.ndarray:
         return np.log((t - k) / t, out=out, where=high)
 
 
+def _log_window_share(k: np.ndarray, t: int) -> np.ndarray:
+    """_log_negatives_share, bit for bit, over consecutive float counts k:
+    the counts up to t/2 are a prefix and take log1p, the rest take
+    log((t-k)/t), and k == t, which can only be last, is set to -inf."""
+    split = min(len(k), max(0, t // 2 + 1 - int(k[0])))
+    if split == len(k):
+        return np.log1p(k / -t)
+    out = np.empty(len(k))
+    np.log1p(k[:split] / -t, out=out[:split])
+    end = len(k) - 1 if k[-1] == t else len(k)
+    np.log((t - k[split:end]) / t, out=out[split:end])
+    out[end:] = -np.inf
+    return out
+
+
 def _log_weights(k: np.ndarray, t: int, m: int, odds: float) -> np.ndarray:
     """log(w_k / w_m) for Binomial(t, P) over the consecutive counts k, which
     hold m, with odds = log(P / (1-P)).
@@ -311,7 +327,9 @@ def _geometric_tail(w, count, other, odds):
         log_ratio = math.log(count / other)
     else:
         return 0.0
-    r = np.exp(log_ratio + odds)
+    log_r = log_ratio + odds
+    # odds is an array where a sweep's rows share one window edge
+    r = math.exp(log_r) if isinstance(log_r, float) else np.exp(log_r)
     return w * r / (1.0 - r)
 
 
@@ -335,7 +353,7 @@ def _binomial_window(t: int, p: float, b: int) -> tuple[float, float]:
         k = np.arange(float(k_lo), k_hi + 1)  # float counts: no int-to-float casts
         w = np.exp(_log_weights(k, t, mode, odds))
         w /= w.sum()
-        ph = _estimates_for_counts(k, t, b)
+        ph = 0.0 - np.expm1(_log_window_share(k, t) / b)  # as _estimates_for_counts
         expected = float(np.dot(w, ph))
         ph -= p
         mse = float(np.dot(w, ph * ph))
@@ -621,7 +639,7 @@ def _mse_sweep(p: float, bs: np.ndarray, t: int, widen: float):
         np.exp(w, out=w)
         # w (ph - p)^2 in place, as (expm1(.) + p)^2 since ph = -expm1(.):
         # the chunk's 2-D temporaries are its memory
-        ph = _log_negatives_share(k, t) / chunk[:, None]
+        ph = _log_window_share(k, t) / chunk[:, None]
         np.expm1(ph, out=ph)
         ph += p
         ph *= ph
@@ -768,8 +786,12 @@ def _optimal_pool_fixed_tests(p: float, t: int, b_max: int) -> GibbsGowerPlan:
     # the size near the asymptotic optimum bounds the least MSE, and sizes
     # whose all-pools-positive term alone exceeds that bound cannot win
     mse = _exact_moments(p, _start_size(p, _X_STAR, b_max), t)[1]
+    if mse == 0.0:
+        raise _underflow(p)
     bs = np.arange(1, _saturation_cap(p, t, mse, b_max) + 1)
     mses = _mse_many(p, bs, t)
+    if not mses.all():
+        raise _underflow(p)
     best = int(bs[int(np.argmin(mses))])  # argmin takes the first = smallest b on ties
     return GibbsGowerPlan(best, t)
 
@@ -842,6 +864,8 @@ def gg_optimal_pool(
 
     The search runs over pool sizes 1..cap; the default cap of ceil(10/p)
     covers everything before estimator saturation makes larger pools useless.
+    Where an exact MSE the search compares underflows to 0, which happens at
+    the tiniest prevalences, it raises ValueError: a zero MSE ranks no plan.
     """
     p = prob(p, open_zero=True, open_one=True)
     if (fixed_tests is None) == (target_nrmse is None):
@@ -980,18 +1004,6 @@ def _cost_stop(p: float, cost: CostModel, bound: float, best: float, b_max: int)
         return (_ceil_slack(min(t_f, 2.0**62)) - 1) * cost.objective(b, 1) >= best
 
     return _first_true(beyond, 0, b_max + 1)
-
-
-def _first_true(holds, lo: int, hi: int) -> int:
-    """The least b in (lo, hi) where holds(b), for a condition that never
-    turns false as b grows, or hi where it holds at none of them."""
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if holds(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
 
 
 def estimation_rule_of_thumb(p_guess: float) -> GibbsGowerPlan:

@@ -59,7 +59,6 @@ from __future__ import annotations
 
 import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -219,9 +218,13 @@ def monte_carlo(
 
 
 @functools.cache
-def _thread_pool(workers: int) -> ThreadPoolExecutor:
-    """One pool per worker count, kept across calls: its threads keep their
-    malloc arenas, where fresh threads for every call would make new ones."""
+def _thread_pool(workers: int):
+    """One ThreadPoolExecutor per worker count, kept across calls: its threads
+    keep their malloc arenas, where fresh threads for every call would make
+    new ones.  It is imported here, on first use, so that import poolscreen
+    and single-worker runs never load concurrent.futures."""
+    from concurrent.futures import ThreadPoolExecutor
+
     return ThreadPoolExecutor(max_workers=workers)
 
 

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -405,6 +406,61 @@ class TestConfigFile:
         code, _, err = run_cli(capsys, "design", "--config", "/nonexistent.cfg",
                                "--prevalence", "0.02")
         assert code == 2
+
+
+class TestOneParserPerProcess:
+    """main builds its parser once per process, and no call's argv, config
+    file, environment, exit code or output path reaches the next call."""
+
+    def test_later_calls_build_no_parser(self, capsys, monkeypatch):
+        run_cli(capsys, "design", "--prevalence", "0.02")
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        codes = [run_cli(capsys, *argv)[0] for argv in (
+            ["design", "--prevalence", "0.02"],
+            ["estimate", "--pools", "100", "--positive", "7", "--pool-size", "10"],
+            ["dilution", "--concentration", "5", "--pool-size", "8", "--prevalence", "0.02"],
+            ["tables", "rmse-100"],
+            ["design", "--prevalence"],
+        )]
+        assert codes == [0, 0, 0, 0, 2]
+        assert built == []
+
+    def test_config_file_does_not_carry_over(self, capsys, tmp_path):
+        cfg = tmp_path / "lab.cfg"
+        cfg.write_text("cap = 16\n")
+        argv = ("design", "--prevalence", "0.005", "--format", "json")
+        code, out, _ = run_cli(capsys, "--config", str(cfg), *argv)
+        assert code == 0 and 8 < json.loads(out)["design"]["batch_size"] <= 16
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and json.loads(out)["design"]["batch_size"] == 8
+
+    def test_env_var_config_does_not_carry_over(self, capsys, tmp_path, monkeypatch):
+        cfg = tmp_path / "lab.cfg"
+        cfg.write_text("cap = 16\n")
+        argv = ("design", "--prevalence", "0.005", "--format", "json")
+        monkeypatch.setenv("POOLSCREEN_CONFIG", str(cfg))
+        assert json.loads(run_cli(capsys, *argv)[1])["design"]["batch_size"] > 8
+        monkeypatch.delenv("POOLSCREEN_CONFIG")
+        assert json.loads(run_cli(capsys, *argv)[1])["design"]["batch_size"] == 8
+
+    def test_usage_error_does_not_carry_over(self, capsys):
+        code, out, err = run_cli(capsys, "design", "--prevalence")
+        assert code == 2 and out == "" and "expected one argument" in err
+        code, out, err = run_cli(capsys, "design", "--prevalence", "0.02")
+        assert code == 0 and "architecture: dorfman" in out and err == ""
+
+    def test_output_path_does_not_carry_over(self, capsys, tmp_path):
+        target = tmp_path / "table.csv"
+        assert run_cli(capsys, "tables", "rmse-100", "--output", str(target)) == (0, "", "")
+        code, out, _ = run_cli(capsys, "tables", "rmse-100")
+        assert code == 0 and out.rstrip("\n") == target.read_text().rstrip("\n")
 
 
 class TestJsonRoundTrip:

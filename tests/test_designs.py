@@ -398,6 +398,22 @@ class TestOptimizersMinimizeTheirCost:
         )
         assert dorfman_optimal_batch(rho, cons) == DorfmanDesign(expected)
 
+    @settings(deadline=None, max_examples=50)
+    @given(st.floats(min_value=0.35, max_value=0.95), st.integers(200, 2**63 - 1))
+    @example(0.5, 2**63 - 1)  # Dorfman's cost is exactly 1.0 from 2^53 on
+    @example(0.6, 2**63 - 1)
+    def test_falling_tail_ties_go_to_the_smaller_size(self, rho, cap):
+        # the cap's cost wins here, and the least size that ties it is returned
+        cons = ConstraintSet(max_pool_size=cap)
+        for size, cost in (
+            (dorfman_optimal_batch(rho, cons).batch_size,
+             lambda b: dorfman_expected_tests_per_person(rho, b)),
+            (array_optimal_side(rho, cons).side,
+             lambda b: array_expected_tests_per_person(rho, b)),
+        ):
+            assert cost(size) == cost(cap)
+            assert cost(size - 1) > cost(size)
+
     @settings(deadline=None, max_examples=100)
     @given(PREVALENCES, st.integers(min_value=1, max_value=200), CLUSTER_CAPS)
     @example(0.27, 3000, None)  # above 0.2643 no side beats a cost of 1

@@ -77,6 +77,20 @@ class TestEstimator:
                 assert estimate == value
                 assert abs(Decimal(estimate) - exact) <= Decimal("1e-15") * exact, (k, estimate)
 
+    @pytest.mark.parametrize("t", [1, 2, 3, 7, 100, 10**5])
+    def test_window_logs_match_per_count_logs(self, t):
+        # the exact kernels split consecutive counts at t/2 by index; every
+        # window shape: below t/2, above it, straddling it, reaching t, from 0
+        half = t // 2
+        edges = sorted({min(max(k, 0), t) for k in (0, 1, half - 1, half, half + 1,
+                                                    t // 3, 2 * t // 3, t - 1, t)})
+        for k_lo in edges:
+            for k_hi in (k for k in edges if k >= k_lo):
+                k = np.arange(float(k_lo), k_hi + 1.0)
+                got = estimation._log_window_share(k, t)
+                expected = estimation._log_negatives_share(k, t)
+                assert got.tobytes() == expected.tobytes(), (k_lo, k_hi)
+
     @settings(deadline=None, max_examples=200)
     @given(st.integers(1, 200), st.integers(1, 30), st.data())
     def test_monotone_in_positives(self, t, b, data):

@@ -311,9 +311,11 @@ def test_huge_pools_are_infeasible(call):
 TINY = 5e-324
 
 
-def test_tiniest_prevalence_fixed_budget_plan():
-    plan = e.gg_optimal_pool(TINY, fixed_tests=100, cap=50)
-    assert plan.num_pools == 100 and 1 <= plan.pool_size <= 50
+@pytest.mark.parametrize("cap", [50, None], ids=["cap-50", "default-cap"])
+def test_tiniest_prevalence_fixed_budget_plan(cap):
+    # every exact MSE underflows to 0 here, and a zero MSE ranks no plan
+    with pytest.raises(ValueError, match="underflows to 0"):
+        e.gg_optimal_pool(TINY, fixed_tests=100, cap=cap)
 
 
 def test_tiniest_prevalence_rule_of_thumb():
