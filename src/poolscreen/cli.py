@@ -68,11 +68,12 @@ def _read_config(path: str) -> list[str]:
 
 
 def _emit(text: str, output: str | None) -> None:
+    text = text if text.endswith("\n") else text + "\n"
     if output:
         with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text)
     else:
-        print(text)
+        sys.stdout.write(text)
 
 
 def _report(args, payload: dict, warnings=(), lines=None) -> int:

@@ -401,6 +401,23 @@ def _first_true(holds, lo: int, hi: int) -> int:
     return hi
 
 
+def _gallop(holds, t: int, lo: int, hi: int) -> int:
+    """_first_true(holds, lo, hi), searched from a guess t in (lo, hi): in
+    steps of 1, 2, 4, ... down while holds(t) and up while not, the last
+    step up stopping at hi - 1, then a bisection of the bracket left."""
+    step = 1
+    if holds(t):
+        while t - step > lo and holds(t - step):
+            t, step = t - step, 2 * step
+        return _first_true(holds, max(lo, t - step), t)
+    while t < hi - 1:
+        up = min(t + step, hi - 1)
+        if holds(up):
+            return _first_true(holds, t, up)
+        t, step = up, 2 * step
+    return hi
+
+
 # ---------------------------------------------------------------------------
 # Dorfman testing
 # ---------------------------------------------------------------------------
@@ -546,11 +563,7 @@ def _optimal_side(rho: float, d: int, constraints: ConstraintSet | None, what: s
 
 def _integer_root(n: int, d: int) -> int:
     """Largest integer r with r**d <= n, for n >= 1, by bisection on integers."""
-    lo, hi = 1, 1 << (n.bit_length() // d + 1)  # lo**d <= n < hi**d
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if mid**d <= n else (lo, mid)
-    return lo
+    return _first_true(lambda r: r**d > n, 0, 1 << (n.bit_length() // d + 1)) - 1
 
 
 def independence_gap(rho: float, b: int, d: int = 2) -> float:

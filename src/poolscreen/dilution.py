@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass, replace
 
 from ._validate import instance, integer, positive_fraction, prob, real
+from .designs import _first_true
 
 __all__ = [
     "DilutionScenario",
@@ -116,14 +117,7 @@ def max_pool_size_for_threshold(
     base = instance(base, DilutionScenario, "base")
     threshold = real(threshold, "threshold")
     max_pool = integer(max_pool, 1, "max_pool")
-    lo, hi = 1, max_pool
-    if introduced_false_negative_rate(base.with_pool_size(hi)) <= threshold:
-        return hi
-    # lo meets the threshold (a pool of 1 introduces nothing), hi misses it
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if introduced_false_negative_rate(base.with_pool_size(mid)) <= threshold:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    # a pool of 1 introduces nothing
+    return _first_true(
+        lambda n: introduced_false_negative_rate(base.with_pool_size(n)) > threshold,
+        1, max_pool + 1) - 1

@@ -28,7 +28,8 @@ positive, which is exactly the regime where pool-size choices get interesting.
 Planning conventions:
 
 * "tests needed" is the smallest integer t whose exact normalized RMSE
-  (sqrt(MSE)/p) meets the target.
+  (sqrt(MSE)/p) meets the target, found by designs._gallop from the
+  asymptotic count, up to a search limit of 10^6 pools.
 * with every pool positive the estimate is 1, so
   MSE(b, t) >= (1 - (1-p)^b)^t (1-p)^2, a floor that grows with b; every
   pool-size planner stops where that floor shows that no larger size can
@@ -52,6 +53,8 @@ Planning conventions:
   search, one batched sweep of exact MSEs drops the sizes that cannot win,
   and only the rest are solved one by one.  Its time still grows as 1/p
   (some 0.05 s at p = 1e-4, 0.4 s at 1e-5).
+* a pool-size sweep past _SWEEP_LIMIT sizes raises ValueError before
+  allocating; with the default cap that happens only below p = 1e-6.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import designs
-from .designs import _first_true
+from .designs import _first_true, _gallop
 from ._validate import _INT64_MAX, exp_or_inf, instance, integer, positive_fraction, prob, real
 
 __all__ = [
@@ -98,6 +101,7 @@ _T_SEARCH_LIMIT = 1_000_000  # internal ceiling when solving for a test count
 _MSE_ENTRIES = 1 << 15  # (pool size, support point) pairs per _mse_many chunk
 _ODDS_SPAN = 600.0  # largest (odds spread) x (window width) in one _mse_many chunk
 _SWEEP_ROWS = 1 << 12  # pool sizes whose windows _mse_many sizes at once
+_SWEEP_LIMIT = 1 << 23  # most pool sizes a planner sweeps
 _REL_GUARD = 1e-9  # tolerance when comparing an NRMSE against its target
 _TAIL_SHARE = 2.0**-60  # most of the MSE the counts a window leaves out may add
 _LOG_HALF_SHARE = math.log(2.0 / _TAIL_SHARE)  # -log of each side's half of it
@@ -219,17 +223,25 @@ def _estimates_for_counts(t_plus, t: int, b: int) -> np.ndarray:
     return 0.0 - np.expm1(_log_negatives_share(t_plus, t) / b)
 
 
-def _log_negatives_share(k, t: int) -> np.ndarray:
-    """log(1 - k/t) for integer counts 0 <= k <= t, within an ulp or two:
-    log1p up to t/2, and past it log of (t-k)/t, which rounds once, where
-    log1p would see 1 - k/t through the rounding of k/t.  -inf at k == t."""
+def _log_negatives_share(k, t, out=None) -> np.ndarray:
+    """log(1 - k/t) for counts 0 <= k <= t, within an ulp or two: log1p up
+    to t/2, and past it log of (t-k)/t, which rounds once, where log1p would
+    see 1 - k/t through the rounding of k/t.  -inf at k == t.  t broadcasts
+    against k; out, for float counts, may be k itself."""
     k = np.asarray(k)
-    if k.max(initial=0) <= t // 2:
-        return np.log1p(k / -t)
     high = k > t // 2
-    out = np.log1p(k / -t, out=np.empty(k.shape), where=~high)
+    if not high.any():
+        return np.log1p(np.divide(k, -t, out=out), out=out)
+    if out is None:
+        # integer counts: t - k unmasked, since a masked integer subtract
+        # into a float out casts the out's unset entries
+        out, share = np.empty(high.shape), (t - k) / t
+    else:
+        share = np.divide(np.subtract(t, k, out=out, where=high), t, out=out, where=high)
+    low = ~high
+    np.log1p(np.divide(k, -t, out=out, where=low), out=out, where=low)
     with np.errstate(divide="ignore"):
-        return np.log((t - k) / t, out=out, where=high)
+        return np.log(share, out=out, where=high)
 
 
 def _log_window_share(k: np.ndarray, t: int) -> np.ndarray:
@@ -472,39 +484,19 @@ def _tests_needed_exact(p: float, b: int, target: float) -> tuple[int, float, fl
     """Smallest t whose exact NRMSE meets the target, with the NRMSE at t - 1
     (inf at t - 1 == 0) and at t: the two ends of the search's last bracket."""
     bound = target * (1.0 + _REL_GUARD)
-    # gallop from the asymptotic count in steps of 1, 2, 4, ... until lo
-    # misses the target (lo = 0 is a sentinel) and hi meets it, never past
-    # the search limit, then bisect; the answer is mostly 1 or 2 above it
-    t = _ceil_slack(min(_asymptotic_tests_real(p, b, target), _T_SEARCH_LIMIT))
-    step, n = 1, _nrmse_unchecked(p, b, t)
-    if n <= bound:
-        hi, n_hi = t, n
-        while True:
-            lo, n_lo = max(0, hi - step), math.inf
-            if lo == 0:
-                break
-            n_lo = _nrmse_unchecked(p, b, lo)
-            if n_lo > bound:
-                break
-            hi, n_hi, step = lo, n_lo, 2 * step
-    else:
-        lo, n_lo = t, n
-        while True:
-            if lo == _T_SEARCH_LIMIT:
-                raise _infeasible(p, b, target)
-            hi = min(lo + step, _T_SEARCH_LIMIT)
-            n_hi = _nrmse_unchecked(p, b, hi)
-            if n_hi <= bound:
-                break
-            lo, n_lo, step = hi, n_hi, 2 * step
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        n = _nrmse_unchecked(p, b, mid)
-        if n <= bound:
-            hi, n_hi = mid, n
-        else:
-            lo, n_lo = mid, n
-    return hi, n_lo, n_hi
+    nrmses = {0: math.inf}
+
+    def meets(t):
+        nrmses[t] = _nrmse_unchecked(p, b, t)
+        return nrmses[t] <= bound
+
+    # gallop from the asymptotic count, never past the search limit; the
+    # answer is mostly 1 or 2 above it
+    start = _ceil_slack(min(_asymptotic_tests_real(p, b, target), _T_SEARCH_LIMIT))
+    t = _gallop(meets, start, 0, _T_SEARCH_LIMIT + 1)
+    if t > _T_SEARCH_LIMIT:
+        raise _infeasible(p, b, target)
+    return t, nrmses[t - 1], nrmses[t]
 
 
 def gg_tests_needed(
@@ -728,18 +720,9 @@ def _rows_sweep(p: float, bs: np.ndarray, ts: np.ndarray, widen: float):
         np.add.accumulate(ph[:, ::-1], axis=1, out=ph[:, ::-1])
         w[:, :-1] -= ph[:, 1:]
         np.exp(w, out=w)
-        # the counts again, and log(1 - k/t) in place as _log_negatives_share
-        # takes it: log1p up to t/2 and log((t - k)/t) past it
+        # the counts again, and log(1 - k/t) in place
         np.add(np.minimum(cols, last, out=ph), lows, out=ph)
-        high = ph > t // 2
-        if high.any():
-            low = ~high
-            np.log1p(np.divide(ph, -t, out=ph, where=low), out=ph, where=low)
-            np.divide(np.subtract(t, ph, out=ph, where=high), t, out=ph, where=high)
-            with np.errstate(divide="ignore"):
-                np.log(ph, out=ph, where=high)
-        else:
-            np.log1p(np.divide(ph, -t, out=ph), out=ph)
+        _log_negatives_share(ph, t, out=ph)
         # w (ph - p)^2 in place, as (expm1(.) + p)^2 since ph = -expm1(.)
         ph /= bs[start:end, None]
         np.expm1(ph, out=ph)
@@ -776,6 +759,16 @@ def _saturation_cap(p: float, t: int, mse: float, b_max: int) -> int:
     return b_max if last >= b_max else int(last) + 1
 
 
+def _pool_sizes(p: float, last: int) -> np.ndarray:
+    """The pool sizes 1..last that a planner sweeps; a ValueError, before
+    anything is allocated, where they number more than _SWEEP_LIMIT."""
+    if last > _SWEEP_LIMIT:
+        raise ValueError(f"planning at prevalence {p} would sweep {last} pool sizes, more "
+                         f"than {_SWEEP_LIMIT}; pass a smaller pool-size cap (cap, "
+                         "ConstraintSet(max_pool_size=...) or --cap)")
+    return np.arange(1, last + 1)
+
+
 def _start_size(p: float, x: float, b_max: int) -> int:
     """The pool size x / -log(1-p), rounded and clipped to 1..b_max."""
     # clipped before rounding: at the tiniest p the quotient is inf
@@ -788,7 +781,7 @@ def _optimal_pool_fixed_tests(p: float, t: int, b_max: int) -> GibbsGowerPlan:
     mse = _exact_moments(p, _start_size(p, _X_STAR, b_max), t)[1]
     if mse == 0.0:
         raise _underflow(p)
-    bs = np.arange(1, _saturation_cap(p, t, mse, b_max) + 1)
+    bs = _pool_sizes(p, _saturation_cap(p, t, mse, b_max))
     mses = _mse_many(p, bs, t)
     if not mses.all():
         raise _underflow(p)
@@ -814,38 +807,28 @@ def _optimal_pool_target(p: float, target: float, b_max: int) -> GibbsGowerPlan:
     bound = target * (1.0 + _REL_GUARD)
     # sizes past the cap miss the target on the all-pools-positive term alone
     # at every t <= t_hi
-    bs = np.arange(1, _saturation_cap(p, t_hi, (bound * p) ** 2, b_max) + 1)
+    bs = _pool_sizes(p, _saturation_cap(p, t_hi, (bound * p) ** 2, b_max))
     mses = _mse_many(p, bs, t_hi)
     # a size that meets the target at t - 1 also meets it at t, so the
-    # candidates shrink to the sizes that meet it at hi
+    # candidates shrink to the sizes that meet it at the least t found so far
     nrmses = _nrmses(p, mses)
     meets = nrmses <= bound
-    bs, mses, lo, hi = bs[meets], mses[meets], 0, t_hi
+    bs, mses = bs[meets], mses[meets]
 
     def probe(t):
-        nonlocal bs, mses, lo, hi
+        nonlocal bs, mses
         t_mses = _mse_many(p, bs, t)
         meets = _nrmses(p, t_mses) <= bound
-        if not meets.any():
-            lo = t
-            return False
-        bs, mses, hi = bs[meets], t_mses[meets], t
-        return True
+        if meets.any():
+            bs, mses = bs[meets], t_mses[meets]
+        return meets.any()
 
     # NRMSE^2 falls about as 1/t, so the answer lies near
     # t_hi (least NRMSE / bound)^2, mostly at t_hi itself: gallop from there
-    # in steps of 1, 2, 4, ..., down while some size meets the target and up
-    # while none does, then bisect what is left of (lo, hi]
-    t, step, met = min(t_hi - 1, _ceil_slack(t_hi * (nrmses.min() / bound) ** 2)), 1, None
-    while lo < t < hi:
-        now = probe(t)
-        if met is not None and now != met:
-            break
-        t, step, met = (t - step if now else t + step), 2 * step, now
-    while hi - lo > 1:
-        probe((lo + hi) // 2)
+    start = min(t_hi - 1, _ceil_slack(t_hi * (nrmses.min() / bound) ** 2))
+    t = _gallop(probe, start, 0, t_hi) if start else t_hi
     best = int(bs[int(np.argmin(mses))])  # argmin takes the first = smallest b on ties
-    return GibbsGowerPlan(best, hi)
+    return GibbsGowerPlan(best, t)
 
 
 def gg_optimal_pool(
@@ -910,7 +893,7 @@ def gg_minimize_cost(
     # prune in one sweep: missing the target at ceil(best / weight) pools
     # puts t_real above it, and best only falls, so such a size never wins;
     # the margin lets rounding keep a size, never drop one
-    bs = np.arange(1, _cost_stop(p, cost, bound, best, b_max))
+    bs = _pool_sizes(p, _cost_stop(p, cost, bound, best, b_max) - 1)
     bs = bs[bs != best_b]
     ts = np.ceil(best / (cost.sample_weight * bs + cost.test_weight))
     summed = ts <= _T_SEARCH_LIMIT  # past it, sizes stay candidates

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from poolscreen.cli import main
+from poolscreen.tables import build_table
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -538,6 +539,8 @@ class TestExactText:
              threshold=0.05, max_safe_pool_size=1)
          + "warning: introduced false-negative rate 0.586 exceeds 0.05; reduce the pool "
            "size to at most 1\n"),
+        # CSV ends in one newline, as --output writes it
+        ("tables-csv", ("tables", "rmse-100"), build_table("rmse-100").to_csv()),
     ]
 
     @pytest.mark.parametrize("argv, expected", [c[1:] for c in CASES],

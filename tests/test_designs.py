@@ -571,3 +571,32 @@ class TestCrossoverGrid:
         crossings = classification_crossovers(10**9)
         assert time.perf_counter() - start < 0.5
         assert crossings == classification_crossovers(64)
+
+
+# ---------------------------------------------------------------------------
+# the monotone integer search every planner runs
+# ---------------------------------------------------------------------------
+
+class TestGallop:
+    @settings(deadline=None, max_examples=300)
+    @given(st.integers(-1000, 1000), st.integers(2, 2**40), st.data())
+    @example(lo=0, width=2, data=None)
+    def test_matches_bisection(self, lo, width, data):
+        # threshold in (lo, hi], where hi stands for "holds nowhere"
+        hi = lo + width
+        if data is None:
+            threshold, t = hi, lo + 1
+        else:
+            threshold = data.draw(st.integers(lo + 1, hi), label="threshold")
+            t = data.draw(st.integers(lo + 1, hi - 1), label="start")
+        probes = []
+
+        def holds(b):
+            probes.append(b)
+            return b >= threshold
+
+        assert designs._gallop(holds, t, lo, hi) == threshold
+        assert designs._first_true(lambda b: b >= threshold, lo, hi) == threshold
+        assert all(lo < b < hi for b in probes)
+        assert len(set(probes)) == len(probes)
+        assert len(probes) <= 2 * math.ceil(math.log2(hi - lo)) + 2

@@ -478,6 +478,17 @@ class TestTestsNeeded:
         assert gg_tests_needed(0.01, 5, 0.15) == 899
         assert gg_tests_needed(0.01, 5, 0.15, method="asymptotic") == 898
         assert calls == [898, 899]
+        # up in steps of 1, 2, 4, ... from the asymptotic count of 69, then
+        # a bisection of (84, 100]
+        calls.clear()
+        assert gg_tests_needed(1e-3, 1594, 0.15) == 87
+        assert calls == [69, 70, 72, 76, 84, 100, 92, 88, 86, 87]
+        # the last step up stops at the search limit, which is probed, then
+        # the request is infeasible
+        calls.clear()
+        with pytest.raises(InfeasibleDesignError):
+            gg_tests_needed(0.05166312281427339, 194, 0.016670930644760346)
+        assert calls == [949_018 + 2**k - 1 for k in range(16)] + [estimation._T_SEARCH_LIMIT]
 
     @pytest.mark.parametrize("p, b, target", [
         (0.01, 5, 0.15), (0.05, 13, 0.15), (0.001, 131, 0.15), (0.3, 2, 2.0), (0.2, 40, 0.3),

@@ -356,3 +356,27 @@ def test_underflowing_mse_forms_no_nrmse(call):
 def test_underflowing_mse_cli_plan(capsys, extra):
     assert main(["estimate", "--plan", "--prevalence-guess", "5e-324", *extra]) == 2
     assert capsys.readouterr().err.startswith(f"error: {UNDERFLOW}")
+
+
+# At p = 1e-12 the default cap of ceil(10/p) would have every planner sweep
+# some 10^12 pool sizes; each names the length and raises before allocating.
+SWEEPING = [
+    ("fixed-budget", lambda: e.gg_optimal_pool(1e-12, fixed_tests=100)),
+    ("target", lambda: e.gg_optimal_pool(1e-12, target_nrmse=0.15)),
+    ("cost", lambda: e.gg_minimize_cost(1e-12, e.CostModel(1.0, 10.0), 0.15)),
+]
+
+
+@pytest.mark.parametrize("call", [c for _, c in SWEEPING], ids=[i for i, _ in SWEEPING])
+def test_pool_size_sweep_past_its_limit_raises(call):
+    with pytest.raises(ValueError, match=r"would sweep \d{12,} pool sizes, more than 8388608; "
+                                         r"pass a smaller pool-size cap"):
+        call()
+
+
+@pytest.mark.parametrize("extra", [[], ["--sample-cost", "1"]], ids=["target", "cost"])
+def test_pool_size_sweep_past_its_limit_cli_plan(capsys, extra):
+    assert main(["estimate", "--plan", "--prevalence-guess", "1e-12", *extra]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: planning at prevalence 1e-12 would sweep ")
+    assert "--cap" in err
